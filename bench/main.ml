@@ -639,29 +639,20 @@ let () =
   let speedups = run_speedup_suite jobs in
   print_newline ();
   let kernels = run_microbenchmarks jobs in
-  (* Fast-engine gate: benchmarking with the fast path is only meaningful
-     while the FIG1.FAST equivalence oracle holds — a fast kernel without a
-     passing oracle in the same run is an unvalidated number. *)
-  let fast_gate_ok =
-    (not (List.exists (fun (spec, _) -> spec.k_engine = "fast") kernels))
-    || List.exists
-         (fun r ->
-            r.Predictability.Experiments.outcome.Predictability.Report.id
-            = "FIG1.FAST"
-            && Predictability.Report.all_passed
-                 r.Predictability.Experiments.outcome)
-         results
+  let doc =
+    bench_json ~jobs ~elapsed_s:(Prelude.Mono.now () -. started) ~results
+      ~speedups ~kernels
   in
-  if not fast_gate_ok then
-    prerr_endline
-      "bench: fast-engine kernels present but FIG1.FAST is absent or \
-       failing in this run";
+  let fast_gate = Predictability.Regression.fast_gate doc in
+  List.iter
+    (fun f ->
+       prerr_endline
+         ("bench: " ^ Predictability.Regression.finding_string f))
+    fast_gate;
   (match json_file with
    | None -> ()
    | Some path ->
-     let elapsed_s = Prelude.Mono.now () -. started in
-     let doc = bench_json ~jobs ~elapsed_s ~results ~speedups ~kernels in
      Out_channel.with_open_text path (fun oc ->
          Out_channel.output_string oc (Prelude.Json.to_string_pretty doc));
      Printf.printf "wrote %s\n" path);
-  if failed <> [] || not fast_gate_ok then exit 1
+  if failed <> [] || fast_gate <> [] then exit 1

@@ -91,10 +91,10 @@ let supervised_summary jobs results =
      in
      if extras = [] then "" else "; " ^ String.concat "; " extras)
 
-let exit_supervised results =
-  if Predictability.Experiments.supervised_failures results <> [] then exit 3
-  else if Predictability.Experiments.supervised_check_failures results <> []
-  then exit 1
+(* An unknown workload or experiment name, or an unreadable input
+   document, is a usage error (exit 2). *)
+let or_usage f =
+  try f () with Serve.Ops.Usage message -> prerr_endline message; exit 2
 
 (* Shared driver of `run` and `all`: supervised execution, text/json
    rendering, optional journal/resume and atomic --out. *)
@@ -107,38 +107,23 @@ let run_supervised_cli ~jobs ~format ~deadline ~retries ~inject ~journal
     exit 2
   end;
   let supervision = supervision_of ~deadline ~retries in
-  match
-    Predictability.Harness.elapsed (fun () ->
-        Predictability.Experiments.run_supervised ~jobs ~supervision
-          ?journal ~resume ~entries ())
-  with
-  | exception Invalid_argument message ->
+  match Serve.Ops.run_supervised ~jobs ~supervision ?journal ~resume entries with
+  | exception (Invalid_argument message | Sys_error message) ->
     Printf.eprintf "predlab: %s\n" message;
     exit 2
-  | exception Sys_error message ->
-    Printf.eprintf "predlab: %s\n" message;
-    exit 2
-  | results, elapsed_s ->
+  | results, doc ->
     (match format with
      | Text ->
        let buf = render_supervised_text results in
        Buffer.add_string buf (supervised_summary jobs results);
        emit ~out (Buffer.contents buf)
-     | Json ->
-       emit ~out
-         (Prelude.Json.to_string_pretty
-            (Predictability.Experiments.supervised_to_json ~jobs ~elapsed_s
-               results)));
-    exit_supervised results
+     | Json -> emit ~out (Serve.Ops.render Serve.Ops.run doc));
+    exit (Serve.Ops.run.exit_code doc)
 
 let run_one jobs format deadline retries inject id =
-  match Predictability.Experiments.lookup id with
-  | Error message ->
-    Printf.eprintf "%s\n" message;
-    exit 2
-  | Ok entry ->
-    run_supervised_cli ~jobs ~format ~deadline ~retries ~inject
-      ~journal:None ~resume:false ~out:None ~entries:[ entry ]
+  let entry = or_usage (fun () -> Serve.Ops.experiment id) in
+  run_supervised_cli ~jobs ~format ~deadline ~retries ~inject ~journal:None
+    ~resume:false ~out:None ~entries:[ entry ]
 
 let run_all jobs format deadline retries inject journal resume out =
   run_supervised_cli ~jobs ~format ~deadline ~retries ~inject ~journal
@@ -168,30 +153,17 @@ let chaos jobs format plane seed =
 
 (* `stats` keeps the plain unsupervised path (schema v1): it is the cost
    summary and the ci.sh baseline-compare input, and doubles as coverage
-   that v1 documents stay first-class citizens of the report toolchain. *)
-let print_json_report ~jobs ~elapsed_s results =
-  print_string
-    (Prelude.Json.to_string_pretty
-       (Predictability.Experiments.to_json ~jobs ~elapsed_s results))
-
-let exit_on_failures results =
-  let failed =
-    List.filter
-      (fun r ->
-         not (Predictability.Report.all_passed
-                r.Predictability.Experiments.outcome))
-      results
-  in
-  if failed <> [] then exit 1
-
+   that v1 documents stay first-class citizens of the report toolchain.
+   Its exit class is the run op's, read from the same document. *)
 let stats jobs format =
   apply_jobs jobs;
   let results, elapsed_s =
     Predictability.Harness.elapsed (fun () ->
         Predictability.Experiments.run_all ~jobs ())
   in
+  let doc = Predictability.Experiments.to_json ~jobs ~elapsed_s results in
   (match format with
-   | Json -> print_json_report ~jobs ~elapsed_s results
+   | Json -> print_string (Serve.Ops.render Serve.Ops.run doc)
    | Text ->
      let table =
        Prelude.Table.make
@@ -230,28 +202,16 @@ let stats jobs format =
         elapsed = true wall clock\n";
      Printf.printf "jobs=%d (recommended on this machine: %d)\n" jobs
        (Prelude.Parallel.recommended_jobs ()));
-  exit_on_failures results
-
-let read_json_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error message ->
-    Printf.eprintf "predlab compare: %s\n" message;
-    exit 2
-  | contents -> (
-      match Prelude.Json.parse contents with
-      | Ok json -> json
-      | Error message ->
-        Printf.eprintf "predlab compare: %s: %s\n" path message;
-        exit 2)
+  exit (Serve.Ops.run.exit_code doc)
 
 let compare_reports tolerance baseline_path current_path =
-  let baseline = read_json_file baseline_path in
-  let current = read_json_file current_path in
   match
+    let baseline = Serve.Ops.load_json baseline_path in
+    let current = Serve.Ops.load_json current_path in
     Predictability.Regression.compare_reports ~tolerance_pct:tolerance
       ~baseline ~current ()
   with
-  | exception Invalid_argument message ->
+  | exception (Serve.Ops.Usage message | Invalid_argument message) ->
     Printf.eprintf "predlab compare: %s\n" message;
     exit 2
   | [] ->
@@ -276,38 +236,19 @@ let list_workloads () =
     Isa.Workload.registry
 
 let show_program name =
-  match List.assoc_opt name Isa.Workload.registry with
-  | None ->
-    Printf.eprintf "unknown workload %S; try `predlab workloads`\n" name;
-    exit 2
-  | Some make ->
-    let w = make () in
-    let program, _ = Isa.Workload.program w in
-    Printf.printf "; %s — %s\n" w.Isa.Workload.name w.Isa.Workload.description;
-    Format.printf "%a@." Isa.Program.pp program;
-    Printf.printf "; %d instructions, %d admissible inputs\n"
-      (Isa.Program.length program)
-      (List.length w.Isa.Workload.inputs)
+  let w = or_usage (fun () -> Serve.Ops.workload name ()) in
+  let program, _ = Isa.Workload.program w in
+  Printf.printf "; %s — %s\n" w.Isa.Workload.name w.Isa.Workload.description;
+  Format.printf "%a@." Isa.Program.pp program;
+  Printf.printf "; %d instructions, %d admissible inputs\n"
+    (Isa.Program.length program)
+    (List.length w.Isa.Workload.inputs)
 
-(* Target selection shared by lint and certify: positional names (default
-   the whole registry), then the bench-style `--only SUBSTR` filter. *)
-let select_workloads ~command ~only names =
-  let selected =
-    match names with
-    | [] -> Isa.Workload.registry
-    | names ->
-      List.map
-        (fun name ->
-           match List.assoc_opt name Isa.Workload.registry with
-           | Some make -> (name, make)
-           | None ->
-             Printf.eprintf "unknown workload %S; try `predlab workloads`\n"
-               name;
-             exit 2)
-        names
-  in
+(* The bench-style `--only SUBSTR` filter of lint and certify, over the
+   positional names (default: the whole registry). *)
+let only_names ~command ~only names =
   match only with
-  | None -> selected
+  | None -> names
   | Some substr -> (
       let contains hay needle =
         let nh = String.length hay and nn = String.length needle in
@@ -316,7 +257,8 @@ let select_workloads ~command ~only names =
         in
         nn = 0 || at 0
       in
-      match List.filter (fun (name, _) -> contains name substr) selected with
+      let selected = List.map fst (Serve.Ops.select_workloads names) in
+      match List.filter (fun name -> contains name substr) selected with
       | [] ->
         Printf.eprintf "predlab %s: --only %s matches no workload\n" command
           substr;
@@ -336,17 +278,12 @@ let lint format only fixture names =
     | Some `Dirty ->
       [ ("fixture:dirty", Dataflow.Lint.check_program (Dataflow.Fixtures.dirty ())) ]
     | None ->
-      List.map
-        (fun (name, make) -> (name, Dataflow.Lint.check_workload (make ())))
-        (select_workloads ~command:"lint" ~only names)
+      or_usage (fun () ->
+          Serve.Ops.lint_targets (only_names ~command:"lint" ~only names))
   in
-  let total_errors =
-    List.fold_left (fun acc (_, fs) -> acc + Dataflow.Lint.errors fs) 0 targets
-  in
+  let doc = Dataflow.Lint.report_to_json targets in
   (match format with
-   | Json ->
-     print_endline
-       (Prelude.Json.to_string_pretty (Dataflow.Lint.report_to_json targets))
+   | Json -> print_string (Serve.Ops.render Serve.Ops.lint doc)
    | Text ->
      List.iter
        (fun (name, findings) ->
@@ -356,16 +293,13 @@ let lint format only fixture names =
           print_string (Dataflow.Lint.render findings))
        targets;
      Printf.printf "%d target(s), %d error finding(s)\n" (List.length targets)
-       total_errors);
-  if total_errors > 0 then exit 1
+       (Dataflow.Lint.errors (List.concat_map snd targets)));
+  exit (Serve.Ops.lint.exit_code doc)
 
 (* `predlab certify`: static predictability certificates over the
-   standard machine pair (Certifier). The JSON document is built by the
-   same constructor the serve daemon's certify op uses, so `predlab
-   query certify` matches byte-for-byte. Exit 1 iff any declared
-   expectation (--require-invariant, or a fixture's built-in one) is
-   contradicted by the flat-machine verdict — the leaky-fixture gate in
-   ci.sh. *)
+   standard machine pair (Certifier). Exit 1 iff any declared expectation
+   (--require-invariant, or a fixture's built-in one) is contradicted by
+   the flat-machine verdict — the leaky-fixture gate in ci.sh. *)
 let certify format only fixture require_invariant names =
   let rows =
     match fixture with
@@ -382,21 +316,19 @@ let certify format only fixture require_invariant names =
       let expect =
         if require_invariant then Some Analysis.Certify.Invariant else None
       in
-      List.map
-        (fun (_, make) -> Predictability.Certifier.row ?expect (make ()))
-        (select_workloads ~command:"certify" ~only names)
+      or_usage (fun () ->
+          Serve.Ops.certify_rows ?expect
+            (only_names ~command:"certify" ~only names))
   in
-  let contradictions = Predictability.Certifier.contradictions rows in
+  let doc = Predictability.Certifier.report_to_json rows in
   (match format with
-   | Json ->
-     print_endline
-       (Prelude.Json.to_string_pretty
-          (Predictability.Certifier.report_to_json rows))
+   | Json -> print_string (Serve.Ops.render Serve.Ops.certify doc)
    | Text ->
      print_string (Predictability.Certifier.render rows);
      Printf.printf "%d target(s), %d contradicted expectation(s)\n"
-       (List.length rows) contradictions);
-  if contradictions > 0 then exit 1
+       (List.length rows)
+       (Predictability.Certifier.contradictions rows));
+  exit (Serve.Ops.certify.exit_code doc)
 
 (* `predlab sample`: seeded sampling estimators (Pr/SIPr/IIPr, mean,
    BCET/WCET tails, each with a CI) over workloads — the scale-past-
@@ -408,37 +340,19 @@ let sample jobs format seed samples confidence check names =
   let spec =
     { Sampling.Sampler.default with seed; n_cells = samples; confidence }
   in
-  let selected =
-    match names with
-    | [] -> Isa.Workload.registry
-    | names ->
-      List.map
-        (fun name ->
-           match List.assoc_opt name Isa.Workload.registry with
-           | Some make -> (name, make)
-           | None ->
-             Printf.eprintf "unknown workload %S; try `predlab workloads`\n"
-               name;
-             exit 2)
-        names
-  in
   let rows =
     match
-      List.map
-        (fun entry ->
-           Predictability.Sampled.analyze ~jobs ~spec ~cross_check:check entry)
-        selected
+      or_usage (fun () ->
+          Serve.Ops.sample_rows ~jobs ~spec ~cross_check:check names)
     with
     | exception Invalid_argument message ->
       Printf.eprintf "predlab sample: %s\n" message;
       exit 2
     | rows -> rows
   in
+  let doc = Predictability.Sampled.report_to_json ~jobs rows in
   (match format with
-   | Json ->
-     print_endline
-       (Prelude.Json.to_string_pretty
-          (Predictability.Sampled.report_to_json ~jobs rows))
+   | Json -> print_string (Serve.Ops.render Serve.Ops.sample doc)
    | Text ->
      List.iter (fun row -> print_string (Predictability.Sampled.render row))
        rows;
@@ -450,10 +364,7 @@ let sample jobs format seed samples confidence check names =
        Printf.printf "%d/%d workloads with every exhaustive value inside its CI\n"
          (List.length rows - List.length outside)
          (List.length rows));
-  if check
-     && List.exists (fun r -> not (Predictability.Sampled.all_contained r))
-          rows
-  then exit 1
+  exit (Serve.Ops.sample.exit_code doc)
 
 (* `predlab serve`: the resident evaluation daemon (lib/serve). Blocks
    until a shutdown request or SIGTERM/SIGINT arrives (graceful drain
@@ -487,70 +398,37 @@ let serve socket jobs deadline cache_bound conns queue idle drain max_frame =
     exit 2
 
 (* `predlab query`: one request-response round trip against a running
-   daemon. The result document of run/sample/lint/certify is printed with
-   exactly
-   the emitter call the one-shot CLI uses for that command, so the bytes
-   match; exits mirror the documented taxonomy (2 usage/connection, 3 on
-   a timed-out/crashed verdict, 1 on failed checks). *)
+   daemon. A shared op's result document is printed, and its exit class
+   read, through the same Serve.Ops entry the one-shot CLI uses, so the
+   bytes match; an error envelope exits by its status (2 usage, 3 timed
+   out, 5 overloaded, else 1), a connection failure 2, a --timeout
+   overrun 3. *)
 let query_usage =
-  "usage: predlab query [flags] OP ...\n\
-  \  eval WORKLOAD STATE INPUT | run ID | sample [WORKLOAD...]\n\
-  \  | lint [WORKLOAD...] | certify [WORKLOAD...]\n\
-  \  | compare BASELINE.json CURRENT.json\n\
-  \  | stats | shutdown   (or --raw LINE)"
+  String.concat "\n  | "
+    ("usage: predlab query [flags] OP ...\n  eval WORKLOAD STATE INPUT"
+     :: List.map
+       (fun e -> e.Serve.Ops.name ^ " " ^ e.Serve.Ops.args)
+       Serve.Ops.table
+     @ [ "stats | shutdown   (or --raw LINE)" ])
 
-let load_json_doc path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error message -> Error message
-  | contents -> (
-      match Prelude.Json.parse contents with
-      | Ok json -> Ok json
-      | Error message -> Error (Printf.sprintf "%s: %s" path message))
-
-let build_request ~retries ~seed ~samples ~confidence ~tolerance = function
+let build_request flags = function
   | [ "eval"; workload; state; input ] -> (
       match int_of_string_opt state, int_of_string_opt input with
       | Some state, Some input ->
         Ok (Serve.Protocol.Eval { workload; state; input })
       | _ -> Error "eval: STATE and INPUT must be integers")
   | "eval" :: _ -> Error "usage: predlab query eval WORKLOAD STATE INPUT"
-  | [ "run"; id ] -> Ok (Serve.Protocol.Run { id; retries })
-  | "run" :: _ -> Error "usage: predlab query run ID"
-  | "sample" :: workloads ->
-    Ok (Serve.Protocol.Sample { workloads; seed; samples; confidence })
-  | "lint" :: workloads -> Ok (Serve.Protocol.Lint { workloads })
-  | "certify" :: workloads -> Ok (Serve.Protocol.Certify { workloads })
-  | [ "compare"; baseline_path; current_path ] ->
-    Result.bind (load_json_doc baseline_path) (fun baseline ->
-        Result.bind (load_json_doc current_path) (fun current ->
-            Ok (Serve.Protocol.Compare { baseline; current; tolerance })))
-  | "compare" :: _ ->
-    Error "usage: predlab query compare BASELINE.json CURRENT.json"
   | [ "stats" ] -> Ok Serve.Protocol.Stats
   | [ "shutdown" ] -> Ok Serve.Protocol.Shutdown
-  | _ -> Error query_usage
-
-(* The one-shot CLI prints sample/lint/certify documents with
-   [print_endline] (trailing blank line) and run documents with
-   [print_string]; replicate per op so `query OP > a.json` and `predlab
-   OP --format json > b.json` compare byte-for-byte. *)
-let print_result ~op result =
-  let rendered = Prelude.Json.to_string_pretty result in
-  match op with
-  | "sample" | "lint" | "certify" -> print_endline rendered
-  | _ -> print_string rendered
-
-let run_exit_of result =
-  let count name =
-    Option.bind (Prelude.Json.member name result) Prelude.Json.int_value
-  in
-  match count "crashed", count "timed_out" with
-  | Some c, _ when c > 0 -> 3
-  | _, Some t when t > 0 -> 3
-  | _ -> (
-      match count "experiments_passed", count "experiments_total" with
-      | Some p, Some t when p < t -> 1
-      | _ -> 0)
+  | op :: args -> (
+      match Serve.Ops.find op with
+      | None -> Error query_usage
+      | Some e -> (
+          match e.Serve.Ops.request flags args with
+          | Some request -> Ok request
+          | None ->
+            Error (Printf.sprintf "usage: predlab query %s %s" op e.Serve.Ops.args)))
+  | [] -> Error query_usage
 
 let query socket connect_timeout timeout deadline retries seed samples
     confidence tolerance raw args =
@@ -563,12 +441,11 @@ let query socket connect_timeout timeout deadline retries seed samples
           Printf.eprintf "predlab query: --raw: %s\n" message;
           exit 2)
     | None -> (
-        match
-          build_request ~retries ~seed ~samples ~confidence ~tolerance args
-        with
+        let flags = { Serve.Ops.retries; seed; samples; confidence; tolerance } in
+        match build_request flags args with
         | Ok request ->
           Serve.Protocol.request_to_json ?deadline_s:deadline request
-        | Error message ->
+        | Error message | (exception Serve.Ops.Usage message) ->
           Printf.eprintf "predlab query: %s\n" message;
           exit 2)
   in
@@ -594,39 +471,23 @@ let query socket connect_timeout timeout deadline retries seed samples
        exit 2
      | Ok response -> (
          let member name = Prelude.Json.member name response in
+         let string_member name =
+           Option.bind (member name) Prelude.Json.string_value
+         in
          match member "ok" with
-         | Some (Prelude.Json.Bool true) ->
-           let op =
-             match Option.bind (member "op") Prelude.Json.string_value with
-             | Some op -> op
-             | None -> ""
-           in
-           let result =
-             Option.value ~default:Prelude.Json.Null (member "result")
-           in
-           print_result ~op result;
-           if op = "run" then
-             (match run_exit_of result with 0 -> () | code -> exit code);
-           if
-             op = "compare"
-             && Prelude.Json.member "passed" result
-                = Some (Prelude.Json.Bool false)
-           then exit 1
+         | Some (Prelude.Json.Bool true) -> (
+             let result =
+               Option.value ~default:Prelude.Json.Null (member "result")
+             in
+             match Option.bind (string_member "op") Serve.Ops.find with
+             | Some e ->
+               print_string (Serve.Ops.render e result);
+               exit (e.Serve.Ops.exit_code result)
+             | None -> print_string (Prelude.Json.to_string_pretty result))
          | Some (Prelude.Json.Bool false) ->
-           let error_message =
-             match
-               Option.bind (member "error") Prelude.Json.string_value
-             with
-             | Some m -> m
-             | None -> "unknown error"
-           in
-           Printf.eprintf "predlab query: %s\n" error_message;
-           (match
-              Option.bind (member "status") Prelude.Json.string_value
-            with
-            | Some "timed_out" -> exit 3
-            | Some "overloaded" -> exit 5
-            | _ -> exit 1)
+           Printf.eprintf "predlab query: %s\n"
+             (Option.value ~default:"unknown error" (string_member "error"));
+           exit (Serve.Ops.error_exit response)
          | _ ->
            Printf.eprintf "predlab query: malformed response envelope\n";
            exit 2))

@@ -24,21 +24,18 @@ fi
 dune exec bin/predlab.exe -- stats --jobs 2 --format json > _build/current.json
 dune exec bin/predlab.exe -- compare BENCH_0.json _build/current.json --tolerance 400
 
-# Fast-path trajectory gate. BENCH_1.json is the committed trajectory point
-# recorded after the fast engine landed (bench/main.exe --json BENCH_1.json).
-# Comparing it against BENCH_0.json tracks the speedup trajectory: timings
-# are non-gating at this tolerance (the fast kernels are strictly faster and
-# compare only flags slowdowns), but any check regression gates hard. The
-# bench binary itself refuses to emit a report with fast kernels unless
-# FIG1.FAST passes; re-assert the presence half of that gate here so a
-# hand-edited or stale BENCH_1.json cannot slip through.
-dune exec bin/predlab.exe -- compare BENCH_0.json BENCH_1.json --tolerance 400
-if grep -q '"engine": "fast"' BENCH_1.json; then
-  if ! grep -q '"id": "FIG1.FAST"' BENCH_1.json; then
-    echo "fast-engine kernels present but the FIG1.FAST oracle is absent" >&2
-    exit 1
-  fi
-fi
+# Trajectory gate. Each committed BENCH_<k>.json point (bench/main.exe --json)
+# is compared against its predecessor: timings are non-gating at this
+# tolerance (compare only flags slowdowns), but any check regression gates
+# hard, and so does a point with fast-engine kernels but no passing
+# FIG1.FAST oracle (Regression.fast_gate), so a hand-edited or stale point
+# cannot slip through.
+k=1
+while [ -e "BENCH_$k.json" ]; do
+  dune exec bin/predlab.exe -- compare "BENCH_$((k - 1)).json" "BENCH_$k.json" \
+    --tolerance 400
+  k=$((k + 1))
+done
 
 # Sampling gates. DEF.SAMPLE is the oracle that lets a sampled estimate be
 # trusted where no exhaustive sweep double-checks it: exhaustive
@@ -46,20 +43,10 @@ fi
 # and the whole report bit-identical across jobs and reruns at a fixed
 # seed. The CLI smoke re-asserts containment end to end (`sample --check`
 # exits 1 on any value outside its CI), and the sampling microbenchmark
-# kernels must still run. BENCH_2.json is the committed trajectory point
-# recorded after the sampling layer landed; comparing it against
-# BENCH_1.json gates check regressions hard (timings use the generous
-# cross-hardware tolerance, as above).
+# kernels must still run.
 dune exec bin/predlab.exe -- run DEF.SAMPLE --jobs 2
 dune exec bin/predlab.exe -- sample --check --jobs 2 clamp popcount
 dune exec bench/main.exe -- --only DEF.SAMPLE
-dune exec bin/predlab.exe -- compare BENCH_1.json BENCH_2.json --tolerance 400
-if grep -q '"engine": "fast"' BENCH_2.json; then
-  if ! grep -q '"id": "FIG1.FAST"' BENCH_2.json; then
-    echo "fast-engine kernels present but the FIG1.FAST oracle is absent" >&2
-    exit 1
-  fi
-fi
 
 # Certifier gates. DEF.CERT is the oracle that lets a static certificate
 # be trusted without an exhaustive sweep: flat-machine Invariant verdicts
@@ -69,8 +56,7 @@ fi
 # the branch channel. The CLI smoke keeps the JSON report as an artifact,
 # re-asserts the pinned flat-invariant set, and checks both fixture
 # directions — a certifier that stops contradicting the leaky fixture
-# would otherwise pass CI silently. BENCH_3.json is the committed
-# trajectory point recorded after the certifier landed.
+# would otherwise pass CI silently.
 dune exec bin/predlab.exe -- run DEF.CERT --jobs 2
 dune exec bin/predlab.exe -- certify --format json > _build/certify.json
 dune exec bin/predlab.exe -- certify --fixture leakfree > /dev/null
@@ -81,13 +67,6 @@ fi
 dune exec bin/predlab.exe -- certify --require-invariant \
   fibonacci call_chain state_machine
 dune exec bench/main.exe -- --only CERT
-dune exec bin/predlab.exe -- compare BENCH_2.json BENCH_3.json --tolerance 400
-if grep -q '"engine": "fast"' BENCH_3.json; then
-  if ! grep -q '"id": "FIG1.FAST"' BENCH_3.json; then
-    echo "fast-engine kernels present but the FIG1.FAST oracle is absent" >&2
-    exit 1
-  fi
-fi
 
 # Supervision gates. A fault injected into one experiment must not take the
 # run down: the other experiments complete, the failure is classified in the
@@ -100,7 +79,9 @@ status=$?
 set -e
 test "$status" -eq 3
 grep -q '"status": "crashed"' _build/faulted.json
-test "$(grep -c '"status":"completed"' _build/ci.jsonl)" -ge 27
+# Every experiment but the injected one completed.
+experiments=$(dune exec bin/predlab.exe -- list | wc -l)
+test "$(grep -c '"status":"completed"' _build/ci.jsonl)" -eq "$((experiments - 1))"
 # Resume from that journal with the fault gone: only EQ4 re-runs, the final
 # report is clean, and the journal gains exactly the one re-run line.
 lines_before=$(wc -l < _build/ci.jsonl)
@@ -145,12 +126,11 @@ test "$misses" -ge 1
 "$PREDLAB" query --socket "$SOCK" sample clamp > _build/serve-sample.json
 "$PREDLAB" sample --jobs 2 --format json clamp > _build/cli-sample.json
 cmp _build/serve-sample.json _build/cli-sample.json
-"$PREDLAB" query --socket "$SOCK" lint clamp > _build/serve-lint.json
-"$PREDLAB" lint --format json clamp > _build/cli-lint.json
-cmp _build/serve-lint.json _build/cli-lint.json
-"$PREDLAB" query --socket "$SOCK" certify clamp > _build/serve-certify.json
-"$PREDLAB" certify --format json clamp > _build/cli-certify.json
-cmp _build/serve-certify.json _build/cli-certify.json
+for op in lint certify; do
+  "$PREDLAB" query --socket "$SOCK" "$op" clamp > "_build/serve-$op.json"
+  "$PREDLAB" "$op" --format json clamp > "_build/cli-$op.json"
+  cmp "_build/serve-$op.json" "_build/cli-$op.json"
+done
 # The daemon's regression gate: a report compared against itself passes.
 "$PREDLAB" run --format json EQ4 > _build/serve-compare-base.json
 "$PREDLAB" query --socket "$SOCK" compare \
@@ -162,25 +142,24 @@ grep -q '"passed": true' _build/serve-compare.json
   > _build/serve-timeout.json && serve_status=0 || serve_status=$?
 test "$serve_status" -eq 3
 grep -q '"timed_out": 1' _build/serve-timeout.json
+# An unknown experiment id is a usage error over the socket too (exit 2).
+"$PREDLAB" query --socket "$SOCK" run NOSUCH 2> /dev/null \
+  && unknown_status=0 || unknown_status=$?
+test "$unknown_status" -eq 2
 # Concurrency: four simultaneous clients on the --conns 4 pool, each
 # response byte-identical to the one-shot CLI document — worker domains
 # share the engine table but never each other's responses.
-"$PREDLAB" query --socket "$SOCK" sample clamp > _build/serve-par-1.json &
-PAR_1=$!
-"$PREDLAB" query --socket "$SOCK" sample clamp > _build/serve-par-2.json &
-PAR_2=$!
-"$PREDLAB" query --socket "$SOCK" sample clamp > _build/serve-par-3.json &
-PAR_3=$!
-"$PREDLAB" query --socket "$SOCK" sample clamp > _build/serve-par-4.json &
-PAR_4=$!
-wait "$PAR_1"
-wait "$PAR_2"
-wait "$PAR_3"
-wait "$PAR_4"
-cmp _build/serve-par-1.json _build/cli-sample.json
-cmp _build/serve-par-2.json _build/cli-sample.json
-cmp _build/serve-par-3.json _build/cli-sample.json
-cmp _build/serve-par-4.json _build/cli-sample.json
+PAR_PIDS=
+for i in 1 2 3 4; do
+  "$PREDLAB" query --socket "$SOCK" sample clamp > "_build/serve-par-$i.json" &
+  PAR_PIDS="$PAR_PIDS $!"
+done
+for pid in $PAR_PIDS; do
+  wait "$pid"
+done
+for i in 1 2 3 4; do
+  cmp "_build/serve-par-$i.json" _build/cli-sample.json
+done
 "$PREDLAB" query --socket "$SOCK" shutdown > /dev/null
 wait "$SERVE_PID"
 test ! -e "$SOCK"
@@ -211,13 +190,5 @@ test ! -e "$SOCK2"
 "$PREDLAB" chaos --plane serve --seed 1
 
 # Serve bench kernels (including the concurrent-throughput daemon round)
-# must still run. BENCH_4.json is the committed trajectory point recorded
-# after the worker-pool daemon landed.
+# must still run.
 dune exec bench/main.exe -- --only SERVE
-dune exec bin/predlab.exe -- compare BENCH_3.json BENCH_4.json --tolerance 400
-if grep -q '"engine": "fast"' BENCH_4.json; then
-  if ! grep -q '"id": "FIG1.FAST"' BENCH_4.json; then
-    echo "fast-engine kernels present but the FIG1.FAST oracle is absent" >&2
-    exit 1
-  fi
-fi

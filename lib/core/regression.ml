@@ -174,6 +174,30 @@ let version_findings ~subject doc =
   | Some _ ->
     [ { kind = Schema; subject; detail = "non-integer report version" } ]
 
+(* Fast-engine kernel timings are only meaningful while the FIG1.FAST
+   equivalence oracle holds: a document carrying one without a passing
+   FIG1.FAST in the same run holds an unvalidated number. *)
+let fast_gate doc =
+  let fast kernel =
+    Prelude.Json.member "engine" kernel = Some (Prelude.Json.String "fast")
+  in
+  let fig1_fast_passed exp =
+    Prelude.Json.member "id" exp = Some (Prelude.Json.String "FIG1.FAST")
+    && Report.status_of_json exp = Ok Report.Completed
+    && List.for_all
+         (fun c ->
+            Prelude.Json.member "passed" c = Some (Prelude.Json.Bool true))
+         (checks_of exp)
+  in
+  let exists p items = List.exists p (Option.value ~default:[] items) in
+  if exists fast (kernels_of doc)
+     && not (exists fig1_fast_passed (experiments_of doc))
+  then
+    [ { kind = Check_regression; subject = "FIG1.FAST";
+        detail = "fast-engine kernels present but FIG1.FAST is absent or \
+                  failing" } ]
+  else []
+
 let compare_reports ?(tolerance_pct = 50.) ~baseline ~current () =
   if tolerance_pct < 0. then
     invalid_arg "Regression.compare_reports: negative tolerance";
@@ -204,4 +228,4 @@ let compare_reports ?(tolerance_pct = 50.) ~baseline ~current () =
           ~current:cur_kernels
       | _ -> []
     in
-    exp_findings @ kernel_findings
+    exp_findings @ kernel_findings @ fast_gate current

@@ -26,6 +26,8 @@
     [predlab stats --format json] run can be compared against a full
     [bench --json] baseline.
 
+    The current document must also pass {!fast_gate}.
+
     New experiments/kernels that only exist in the current report are
     never findings: the gate is one-sided, guarding what the baseline
     already demonstrated. *)
@@ -46,6 +48,11 @@ type finding = {
 val kind_string : kind -> string
 val finding_string : finding -> string
 (** ["[slowdown] FIG1: 0.120s -> 0.360s (+200%, tolerance 50%)"]. *)
+
+val fast_gate : Prelude.Json.t -> finding list
+(** One [Check_regression] finding when the document has fast-engine
+    kernels ([engine: "fast"]) but no completed FIG1.FAST experiment with
+    every check passed; empty otherwise. *)
 
 val compare_reports :
   ?tolerance_pct:float ->

@@ -75,189 +75,73 @@ type t = {
   live : (Unix.file_descr, unit) Hashtbl.t;
 }
 
-let unknown_workload name =
-  Printf.sprintf "unknown workload %S; try the stats op or `predlab \
-                  workloads` for the registry" name
-
 let entry_for t name =
   let build () =
-    match List.assoc_opt name Isa.Workload.registry with
-    | None -> Error (unknown_workload name)
-    | Some make ->
-      let w = make () in
-      let program, _ = Isa.Workload.program w in
-      let e =
-        { e_engine =
-            Fastpath.Engine.create ~memo:true
-              ~memo_bound:t.config.memo_bound program;
-          e_states =
-            Array.of_list (Predictability.Harness.inorder_states program w);
-          e_inputs =
-            Array.of_list
-              (Prelude.Listx.take Predictability.Sampled.input_cap
-                 w.Isa.Workload.inputs) }
-      in
-      Hashtbl.replace t.engines name e;
-      Ok e
+    let w = Ops.workload name () in
+    let program, _ = Isa.Workload.program w in
+    let e =
+      { e_engine =
+          Fastpath.Engine.create ~memo:true ~memo_bound:t.config.memo_bound
+            program;
+        e_states =
+          Array.of_list (Predictability.Harness.inorder_states program w);
+        e_inputs =
+          Array.of_list
+            (Prelude.Listx.take Predictability.Sampled.input_cap
+               w.Isa.Workload.inputs) }
+    in
+    Hashtbl.replace t.engines name e;
+    e
   in
   Mutex.lock t.engines_mu;
   let result =
     match Hashtbl.find_opt t.engines name with
-    | Some e -> Ok e
+    | Some e -> e
     | None -> ( try build () with exn -> Mutex.unlock t.engines_mu; raise exn)
   in
   Mutex.unlock t.engines_mu;
   result
 
-(* Mirror of the CLI's positional-workload handling: empty list = the whole
-   registry, any unknown name is a request error (not a daemon death). *)
-let select_workloads names =
-  match names with
-  | [] -> Ok Isa.Workload.registry
-  | names ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | name :: rest -> (
-          match List.assoc_opt name Isa.Workload.registry with
-          | Some make -> go ((name, make) :: acc) rest
-          | None -> Error (unknown_workload name))
-    in
-    go [] names
+(* --- Daemon-only request handlers ----------------------------------------
 
-(* --- Request handlers ---------------------------------------------------
-
-   Each returns a complete response envelope. The run/sample/lint result
-   documents are built by exactly the functions the one-shot CLI's
-   [--format json] path uses, so a client rendering [result] with the
-   pretty emitter reproduces the CLI's bytes. *)
+   Each returns a complete response envelope. The ops the CLI shares
+   (run/sample/lint/certify/compare) are not here: they go through
+   {!Ops}, the same table entries the one-shot CLI prints from. *)
 
 let handle_eval t ~workload ~state ~input =
-  match entry_for t workload with
-  | Error message -> Protocol.error ~op:"eval" message
-  | Ok e ->
-    let n_states = Array.length e.e_states
-    and n_inputs = Array.length e.e_inputs in
-    if state < 0 || state >= n_states then
-      Protocol.error ~op:"eval"
-        (Printf.sprintf "state index %d out of range (workload %S has %d \
-                         states)" state workload n_states)
-    else if input < 0 || input >= n_inputs then
-      Protocol.error ~op:"eval"
-        (Printf.sprintf "input index %d out of range (workload %S has %d \
-                         inputs)" input workload n_inputs)
-    else begin
-      (* The instrument counters are domain-local, and this whole request
-         runs on one worker domain, so the delta is this call's alone even
-         with siblings evaluating concurrently. *)
-      let before = Prelude.Instrument.snapshot () in
-      let time =
-        Fastpath.Engine.time e.e_engine e.e_states.(state) e.e_inputs.(input)
-      in
-      let after = Prelude.Instrument.snapshot () in
-      let cached =
-        after.Prelude.Instrument.memo_hits
-        > before.Prelude.Instrument.memo_hits
-      in
-      Protocol.ok ~op:"eval"
-        (Json.Obj
-           [ ("schema", Json.String "predlab/serve-eval");
-             ("version", Json.Int 1);
-             ("workload", Json.String workload);
-             ("state", Json.Int state);
-             ("input", Json.Int input);
-             ("time_cycles", Json.Int time);
-             ("cached", Json.Bool cached) ])
-    end
-
-let handle_run t ~id ~retries ~deadline_s =
-  match Predictability.Experiments.lookup id with
-  | Error message -> Protocol.error ~op:"run" message
-  | Ok entry ->
-    let supervision =
-      { Predictability.Experiments.default_supervision with
-        deadline_s; retries }
+  let e = entry_for t workload in
+  let n_states = Array.length e.e_states
+  and n_inputs = Array.length e.e_inputs in
+  if state < 0 || state >= n_states then
+    Protocol.error ~op:"eval"
+      (Printf.sprintf "state index %d out of range (workload %S has %d \
+                       states)" state workload n_states)
+  else if input < 0 || input >= n_inputs then
+    Protocol.error ~op:"eval"
+      (Printf.sprintf "input index %d out of range (workload %S has %d \
+                       inputs)" input workload n_inputs)
+  else begin
+    (* The instrument counters are domain-local, and this whole request
+       runs on one worker domain, so the delta is this call's alone even
+       with siblings evaluating concurrently. *)
+    let before = Prelude.Instrument.snapshot () in
+    let time =
+      Fastpath.Engine.time e.e_engine e.e_states.(state) e.e_inputs.(input)
     in
-    let results, elapsed_s =
-      Predictability.Harness.elapsed (fun () ->
-          Predictability.Experiments.run_supervised ~jobs:t.config.jobs
-            ~supervision ~entries:[ entry ] ())
+    let after = Prelude.Instrument.snapshot () in
+    let cached =
+      after.Prelude.Instrument.memo_hits > before.Prelude.Instrument.memo_hits
     in
-    Protocol.ok ~op:"run"
-      (Predictability.Experiments.supervised_to_json ~jobs:t.config.jobs
-         ~elapsed_s results)
-
-let handle_sample t ~workloads ~seed ~samples ~confidence =
-  match select_workloads workloads with
-  | Error message -> Protocol.error ~op:"sample" message
-  | Ok selected ->
-    let default = Sampling.Sampler.default in
-    let spec =
-      { default with
-        Sampling.Sampler.seed =
-          Option.value ~default:default.Sampling.Sampler.seed seed;
-        n_cells =
-          Option.value ~default:default.Sampling.Sampler.n_cells samples;
-        confidence =
-          Option.value ~default:default.Sampling.Sampler.confidence
-            confidence }
-    in
-    let rows =
-      List.map
-        (fun entry ->
-           Predictability.Sampled.analyze ~jobs:t.config.jobs ~spec
-             ~cross_check:false entry)
-        selected
-    in
-    Protocol.ok ~op:"sample"
-      (Predictability.Sampled.report_to_json ~jobs:t.config.jobs rows)
-
-let handle_lint ~workloads =
-  match select_workloads workloads with
-  | Error message -> Protocol.error ~op:"lint" message
-  | Ok selected ->
-    let targets =
-      List.map
-        (fun (name, make) -> (name, Dataflow.Lint.check_workload (make ())))
-        selected
-    in
-    Protocol.ok ~op:"lint" (Dataflow.Lint.report_to_json targets)
-
-let handle_certify ~workloads =
-  match select_workloads workloads with
-  | Error message -> Protocol.error ~op:"certify" message
-  | Ok selected ->
-    let rows =
-      List.map (fun (_, make) -> Predictability.Certifier.row (make ())) selected
-    in
-    Protocol.ok ~op:"certify" (Predictability.Certifier.report_to_json rows)
-
-let handle_compare ~baseline ~current ~tolerance =
-  let findings =
-    match tolerance with
-    | None -> Predictability.Regression.compare_reports ~baseline ~current ()
-    | Some tolerance_pct ->
-      Predictability.Regression.compare_reports ~tolerance_pct ~baseline
-        ~current ()
-  in
-  Protocol.ok ~op:"compare"
-    (Json.Obj
-       [ ("schema", Json.String "predlab/serve-compare");
-         ("version", Json.Int 1);
-         ("passed", Json.Bool (findings = []));
-         ("findings",
-          Json.List
-            (List.map
-               (fun f ->
-                  Json.Obj
-                    [ ("kind",
-                       Json.String
-                         (Predictability.Regression.kind_string
-                            f.Predictability.Regression.kind));
-                      ("subject",
-                       Json.String f.Predictability.Regression.subject);
-                      ("detail",
-                       Json.String f.Predictability.Regression.detail) ])
-               findings)) ])
+    Protocol.ok ~op:"eval"
+      (Json.Obj
+         [ ("schema", Json.String "predlab/serve-eval");
+           ("version", Json.Int 1);
+           ("workload", Json.String workload);
+           ("state", Json.Int state);
+           ("input", Json.Int input);
+           ("time_cycles", Json.Int time);
+           ("cached", Json.Bool cached) ])
+  end
 
 let queue_depth t =
   Mutex.lock t.queue_mu;
@@ -324,17 +208,11 @@ let handle_shutdown t =
 
 (* --- Dispatch ------------------------------------------------------------
 
-   Every non-[run] request runs under the daemon's (or the request's)
-   cooperative deadline; an overrun — detected at a Parallel checkpoint or
-   post-hoc — becomes a [timed_out] error envelope, never a daemon death.
-   [run] requests instead hand the budget to the experiment supervisor,
-   which classifies the overrun inside the report document, exactly like
-   the one-shot [predlab run --deadline]. *)
-
-let guarded deadline_s f =
-  match deadline_s with
-  | None -> f ()
-  | Some deadline_s -> Prelude.Parallel.with_deadline ~deadline_s f
+   Every request runs under the daemon's (or the request's) cooperative
+   deadline: the daemon-only ops here, the shared ops inside their {!Ops}
+   entry. An overrun — detected at a Parallel checkpoint or post-hoc —
+   becomes a [timed_out] error envelope, and an unknown name a [usage]
+   one; neither is a daemon death. *)
 
 let dispatch t (request, deadline_override) =
   let op = Protocol.op_name request in
@@ -350,35 +228,26 @@ let dispatch t (request, deadline_override) =
           ("after_s", Json.Float after_s) ]
       "timed_out"
   in
-  match request with
-  | Protocol.Run { id; retries } -> (
-      match handle_run t ~id ~retries ~deadline_s with
-      | response -> response
-      | exception Invalid_argument message -> Protocol.error ~op message
-      | exception exn -> Protocol.error ~op (Printexc.to_string exn))
-  | Protocol.Shutdown -> handle_shutdown t
-  | request -> (
-      let handler () =
-        match request with
-        | Protocol.Eval { workload; state; input } ->
-          handle_eval t ~workload ~state ~input
-        | Protocol.Sample { workloads; seed; samples; confidence } ->
-          handle_sample t ~workloads ~seed ~samples ~confidence
-        | Protocol.Lint { workloads } -> handle_lint ~workloads
-        | Protocol.Certify { workloads } -> handle_certify ~workloads
-        | Protocol.Compare { baseline; current; tolerance } ->
-          handle_compare ~baseline ~current ~tolerance
-        | Protocol.Stats -> handle_stats t
-        | Protocol.Run _ | Protocol.Shutdown -> assert false
-      in
-      match guarded deadline_s handler with
-      | response -> response
-      | exception Prelude.Parallel.Deadline_exceeded { elapsed_s; _ } ->
-        timed_out elapsed_s
-      | exception Prelude.Faults.Forced_timeout _ ->
-        timed_out (Option.value ~default:0. deadline_s)
-      | exception Invalid_argument message -> Protocol.error ~op message
-      | exception exn -> Protocol.error ~op (Printexc.to_string exn))
+  match
+    match request with
+    | Protocol.Eval { workload; state; input } ->
+      Ops.guarded deadline_s (fun () -> handle_eval t ~workload ~state ~input)
+    | Protocol.Stats -> Ops.guarded deadline_s (fun () -> handle_stats t)
+    | Protocol.Shutdown -> handle_shutdown t
+    | request ->
+      let entry = Option.get (Ops.find op) in
+      Protocol.ok ~op
+        (entry.Ops.document ~jobs:t.config.jobs ~deadline_s request)
+  with
+  | response -> response
+  | exception Ops.Usage message ->
+    Protocol.error ~op ~fields:[ ("status", Json.String "usage") ] message
+  | exception Prelude.Parallel.Deadline_exceeded { elapsed_s; _ } ->
+    timed_out elapsed_s
+  | exception Prelude.Faults.Forced_timeout _ ->
+    timed_out (Option.value ~default:0. deadline_s)
+  | exception Invalid_argument message -> Protocol.error ~op message
+  | exception exn -> Protocol.error ~op (Printexc.to_string exn)
 
 let is_error = function
   | Json.Obj fields -> List.assoc_opt "ok" fields = Some (Json.Bool false)

@@ -273,6 +273,44 @@ let test_compare_schema_errors () =
          (Regression.compare_reports ~tolerance_pct:(-1.)
             ~baseline:sample_doc ~current:sample_doc ()))
 
+(* A bench document with a fast-engine kernel is only valid next to a
+   passing FIG1.FAST oracle in the same run; the gate checks the current
+   document of every comparison. *)
+let test_compare_fast_gate () =
+  let bench experiments =
+    Json.Obj
+      [ ("schema", Json.String "predlab/bench");
+        ("experiments", Json.List experiments);
+        ("kernels",
+         Json.List
+           [ Json.Obj
+               [ ("name", Json.String "FIG1/inorder_T(q,i)");
+                 ("engine", Json.String "fast");
+                 ("ns_per_run", Json.Float 168.) ] ]) ]
+  in
+  let fig1_fast passed =
+    Json.Obj
+      [ ("id", Json.String "FIG1.FAST");
+        ("checks",
+         Json.List
+           [ Json.Obj
+               [ ("label", Json.String "exact = fast");
+                 ("passed", Json.Bool passed) ] ]) ]
+  in
+  let gate current =
+    Regression.compare_reports ~baseline:(bench []) ~current ()
+  in
+  (match gate (bench []) with
+   | [ { Regression.kind = Regression.Check_regression;
+         subject = "FIG1.FAST"; _ } ] -> ()
+   | findings ->
+     Alcotest.failf "expected one FIG1.FAST finding, got: %s"
+       (String.concat "; " (List.map Regression.finding_string findings)));
+  Alcotest.(check int) "failing FIG1.FAST does not satisfy the gate" 1
+    (List.length (gate (bench [ fig1_fast false ])));
+  Alcotest.(check int) "passing FIG1.FAST satisfies the gate" 0
+    (List.length (gate (bench [ fig1_fast true ])))
+
 let () =
   Alcotest.run "report"
     [ ("json_conversion",
@@ -299,4 +337,6 @@ let () =
          Alcotest.test_case "v1 and v2 schemas both accepted" `Quick
            test_compare_versions;
          Alcotest.test_case "schema errors and bad tolerance" `Quick
-           test_compare_schema_errors ]) ]
+           test_compare_schema_errors;
+         Alcotest.test_case "fast kernels need a passing FIG1.FAST" `Quick
+           test_compare_fast_gate ]) ]

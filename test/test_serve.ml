@@ -8,6 +8,7 @@ module Json = Prelude.Json
 module Protocol = Serve.Protocol
 module Daemon = Serve.Daemon
 module Client = Serve.Client
+module Ops = Serve.Ops
 
 let temp_socket =
   let counter = ref 0 in
@@ -238,6 +239,88 @@ let test_certify_matches_cli_document () =
       Alcotest.(check (option string)) "schema" (Some "predlab/certify")
         (Option.bind (Json.member "schema" result) Json.string_value))
 
+(* Timing fields ("elapsed_s", "wall_s", ...) are the only part of a
+   document two runs of the same op may disagree on. *)
+let rec without_timings = function
+  | Json.Obj fields ->
+    Json.Obj
+      (List.filter_map
+         (fun (k, v) ->
+            if String.ends_with ~suffix:"_s" k then None
+            else Some (k, without_timings v))
+         fields)
+  | Json.List items -> Json.List (List.map without_timings items)
+  | j -> j
+
+(* Every shared op of the table, sent over the socket: the daemon's
+   result rendered by the entry must be the bytes of the document the
+   one-shot CLI's library calls build (run modulo timings), with the same
+   exit class. *)
+let test_shared_ops_match_cli_documents () =
+  let report_path = Filename.temp_file "predlab-test-report" ".json" in
+  let report =
+    let results, elapsed_s =
+      Predictability.Harness.elapsed (fun () ->
+          Predictability.Experiments.run_supervised ~jobs:2
+            ~supervision:Predictability.Experiments.default_supervision
+            ~entries:
+              [ Result.get_ok (Predictability.Experiments.lookup "EQ4") ]
+            ())
+    in
+    Predictability.Experiments.supervised_to_json ~jobs:2 ~elapsed_s results
+  in
+  Out_channel.with_open_bin report_path (fun oc ->
+      Out_channel.output_string oc (Json.to_string report));
+  let flags =
+    { Ops.retries = 0; seed = None; samples = None; confidence = None;
+      tolerance = None }
+  in
+  (* op -> positional arguments, the CLI document, its exit class and
+     whether the CLI prints it with a trailing blank line. *)
+  let cases =
+    [ ("run", [ "EQ4" ], report, false);
+      ("sample", [ "clamp" ],
+       Predictability.Sampled.report_to_json ~jobs:2
+         [ Predictability.Sampled.analyze ~jobs:2
+             ~spec:Sampling.Sampler.default ~cross_check:false
+             ("clamp", List.assoc "clamp" Isa.Workload.registry) ],
+       true);
+      ("lint", [ "clamp" ],
+       Dataflow.Lint.report_to_json
+         [ ("clamp", Dataflow.Lint.check_workload (Isa.Workload.find "clamp")) ],
+       true);
+      ("certify", [ "clamp" ],
+       Predictability.Certifier.report_to_json
+         [ Predictability.Certifier.row (Isa.Workload.find "clamp") ],
+       true);
+      ("compare", [ report_path; report_path ],
+       Ops.compare_doc
+         (Predictability.Regression.compare_reports ~baseline:report
+            ~current:report ()),
+       false) ]
+  in
+  Fun.protect ~finally:(fun () -> Sys.remove report_path) (fun () ->
+      with_daemon (fun _socket client ->
+          Alcotest.(check (list string)) "one case per table entry"
+            (List.map (fun e -> e.Ops.name) Ops.table)
+            (List.map (fun (name, _, _, _) -> name) cases);
+          List.iter
+            (fun (name, args, cli, newline) ->
+               let entry = Option.get (Ops.find name) in
+               let served =
+                 result_of
+                   (request client (Option.get (entry.Ops.request flags args)))
+               in
+               let bytes doc = Ops.render entry (without_timings doc) in
+               Alcotest.(check string) (name ^ ": same bytes as the CLI")
+                 (bytes cli) (bytes served);
+               Alcotest.(check bool) (name ^ ": trailing newline") newline
+                 entry.Ops.newline;
+               Alcotest.(check (pair int int)) (name ^ ": exit class")
+                 (0, 0)
+                 (entry.Ops.exit_code cli, entry.Ops.exit_code served))
+            cases))
+
 (* The daemon answers a fixed-seed sample request with the same bytes no
    matter how many worker domains it was started with (the report's own
    [jobs] echo aside) — the serve-side twin of the CLI's cross-jobs
@@ -403,6 +486,43 @@ let test_unknown_workload_is_request_error () =
       ignore (error_of response);
       let stats = result_of (request client Protocol.Stats) in
       Alcotest.(check int) "both errors counted" 2 (int_field "errors" stats))
+
+(* An unknown experiment id or workload name is a usage error wherever it
+   arrives: the envelope carries status "usage", which query maps to exit
+   2 like the one-shot CLI. Transport-level errors keep their own class. *)
+let test_unknown_name_is_usage_error () =
+  with_daemon (fun _socket client ->
+      List.iter
+        (fun req ->
+           let response = request client req in
+           ignore (error_of response);
+           Alcotest.(check (option string))
+             (Protocol.op_name req ^ ": usage status")
+             (Some "usage")
+             (Option.bind (Json.member "status" response) Json.string_value);
+           Alcotest.(check int) (Protocol.op_name req ^ ": exit 2") 2
+             (Ops.error_exit response))
+        [ Protocol.Run { id = "NOSUCH"; retries = 0 };
+          Protocol.Sample
+            { workloads = [ "no_such" ]; seed = None; samples = None;
+              confidence = None };
+          Protocol.Lint { workloads = [ "clamp"; "no_such" ] };
+          Protocol.Certify { workloads = [ "no_such" ] };
+          Protocol.Eval { workload = "no_such"; state = 0; input = 0 } ]);
+  Alcotest.(check int) "oversized frame stays exit 1" 1
+    (Ops.error_exit (Protocol.oversized ~max_frame:4096));
+  Alcotest.(check int) "overloaded is exit 5" 5
+    (Ops.error_exit (Protocol.overloaded ~conns:1 ~queue:0))
+
+(* `query lint` reads the document's error count like `predlab lint`. *)
+let test_lint_exit_class () =
+  let doc name program =
+    Dataflow.Lint.report_to_json [ (name, Dataflow.Lint.check_program program) ]
+  in
+  Alcotest.(check int) "dirty fixture exits 1" 1
+    (Ops.lint.Ops.exit_code (doc "dirty" (Dataflow.Fixtures.dirty ())));
+  Alcotest.(check int) "clean fixture exits 0" 0
+    (Ops.lint.Ops.exit_code (doc "clean" (fst (Dataflow.Fixtures.clean ()))))
 
 let test_busy_socket_refused () =
   with_daemon (fun socket _client ->
@@ -630,6 +750,8 @@ let () =
        [ Alcotest.test_case "eval round trip" `Quick test_eval_round_trip;
          Alcotest.test_case "memo hit on repeated cell" `Quick
            test_memo_hit_on_repeat;
+         Alcotest.test_case "certify matches the CLI document" `Quick
+           test_certify_matches_cli_document;
          Alcotest.test_case "sample bit-identical across jobs 1/2/4" `Slow
            test_sample_bit_identical_across_jobs;
          Alcotest.test_case "deadline times out request, not daemon" `Quick
@@ -638,13 +760,17 @@ let () =
            test_run_deadline_classified_by_supervisor;
          Alcotest.test_case "compare gates two report documents" `Quick
            test_compare_gates_reports;
-         Alcotest.test_case "certify matches the CLI document" `Quick
-           test_certify_matches_cli_document ]);
+         Alcotest.test_case "every shared op matches the CLI document" `Quick
+           test_shared_ops_match_cli_documents ]);
       ("robustness",
        [ Alcotest.test_case "malformed line keeps the connection" `Quick
            test_malformed_line_keeps_connection;
          Alcotest.test_case "unknown workload is a request error" `Quick
            test_unknown_workload_is_request_error;
+         Alcotest.test_case "unknown name is a usage error" `Quick
+           test_unknown_name_is_usage_error;
+         Alcotest.test_case "lint exit class reads the error count" `Quick
+           test_lint_exit_class;
          Alcotest.test_case "live socket refused as busy" `Quick
            test_busy_socket_refused;
          Alcotest.test_case "stale socket reclaimed" `Quick
