@@ -9,9 +9,10 @@
    artefact, timing the computational kernel behind that experiment, so
    regressions in the simulators and analyses are visible.
 
-   Part 3 demonstrates the parallel T_p(q,i) evaluation engine: the two
-   heaviest exhaustive experiments (EXT.ATLAS and RW.CACHE) timed at jobs=1
-   and jobs=N, with the results checked bit-identical. Pass [--jobs N] to
+   Part 3 demonstrates the parallel T_p(q,i) evaluation engine: EXT.ATLAS
+   timed at jobs=1 and jobs=N, with the results checked bit-identical;
+   RW.CACHE, whose fast exploration is sequential, rides along as a check
+   that its table does not depend on the job count. Pass [--jobs N] to
    override N (default: Domain.recommended_domain_count). *)
 
 open Bechamel
@@ -339,6 +340,12 @@ let kernel_specs jobs =
           ~ways:4 ~max_probes:6);
     stage ~kjobs:jobs "RW.CACHE/evict_lru4_exact" (fun () ->
         Predictability.Cache_metrics.evict Cache.Policy.Lru ~ways:4 ~max_probes:6);
+    (* The path RW.CACHE spends its time on: a fill horizon beyond the
+       budget explores every depth, and MRU has the most metadata patterns.
+       Budget 9 of RW.CACHE's 14 keeps one run near 30 ms. *)
+    stage ~engine:"fast" "RW.CACHE/fill_mru4" (fun () ->
+        Predictability.Cache_metrics.fill ~engine:`Fast Cache.Policy.Mru
+          ~ways:4 ~max_probes:9);
     stage "DEF.SAMPLE/sampler_run" (fun () ->
         Sampling.Sampler.run ~jobs:1 ~spec:sampling_spec ~n_states:32
           ~n_inputs:32 ~time:sampling_time ());

@@ -12,6 +12,12 @@ set -eux
 dune build
 dune runtest
 dune exec bin/predlab.exe -- run EQ4 --jobs 2
+# Paper-reproduction gate: one `predlab all --jobs 1`, whose 30 section
+# digests must match predbench/golden/paper_all.digests (the harness exits
+# 1 on any mismatch). The RW.CACHE bench kernels, fast and exact, must
+# still run.
+dune exec predbench/e2e.exe -- --workload paper_all --seconds 0 --seed 1
+dune exec bench/main.exe -- --only RW.CACHE
 # Lint gate: every shipped workload must be free of error-severity findings
 # (the JSON doc is kept as a build artifact), and the linter itself must
 # still catch the pinned dirty fixture — a linter that stops finding

@@ -203,13 +203,22 @@ let pack state =
   in
   (kind_ordinal (kind state) :: ways state :: slots) @ meta
 
-(* In-place single-set access on a packed slots segment laid out as [pack]'s
-   slot section: [slots.(base .. base + ways - 1)] holds tags in policy order
-   (LRU MRU-first, FIFO newest-first, RR physical), -1 marking empty slots;
-   [meta.(mbase)] is the RR victim pointer. Tags must be non-negative.
-   Mirrors [access] exactly for the supported kinds — pinned by the test
-   suite; empty (-1) slots sit at the list tail for LRU/FIFO, so a plain
-   shift reproduces the list semantics on non-full sets. *)
+let meta_width kind ~ways =
+  match kind with
+  | Lru | Fifo -> 0
+  | Round_robin -> 1
+  | Plru -> ways - 1
+  | Mru -> ways
+
+(* In-place single-set access on a packed segment laid out as [pack]'s
+   slot and metadata sections: [slots.(base .. base + ways - 1)] holds tags
+   in policy order (LRU MRU-first, FIFO newest-first, PLRU leaves left to
+   right, MRU/RR physical), -1 marking empty slots; [meta.(mbase ..)] holds
+   the [meta_width] metadata words (RR victim pointer, PLRU tree bits in
+   pre-order, MRU bits). Tags must be non-negative. Mirrors [access]
+   exactly, including on sets that are not full — pinned by the test suite;
+   empty (-1) slots sit at the list tail for LRU/FIFO, so a plain shift
+   reproduces the list semantics on non-full sets. *)
 let packed_step kind ~slots ~base ~ways ~meta ~mbase tag =
   let pos = ref (-1) in
   (try
@@ -253,11 +262,57 @@ let packed_step kind ~slots ~base ~ways ~meta ~mbase tag =
       end;
       false
     end
-  | Plru | Mru -> invalid_arg "Policy.packed_step: kind has no packed layout"
-
-let packed_kind = function
-  | Lru | Fifo | Round_robin -> true
-  | Plru | Mru -> false
+  | Plru ->
+    (* A node's bit is 1 when the next victim lies in its right subtree; in
+       pre-order, the node over [size] leaves at index [i] has its children
+       at [i + 1] and [i + size / 2]. The target leaf is the hit, else the
+       leftmost empty leaf, else the victim the bits designate; every node
+       on its path is pointed away from it. *)
+    let target = ref !pos in
+    if !target < 0 then begin
+      target := 0;
+      while !target < ways && slots.(base + !target) <> -1 do incr target done
+    end;
+    let victim = !target = ways in
+    let node = ref 0 and lo = ref 0 and size = ref ways in
+    while !size > 1 do
+      let half = !size / 2 in
+      let right =
+        if victim then meta.(mbase + !node) = 1 else !target >= !lo + half
+      in
+      meta.(mbase + !node) <- (if right then 0 else 1);
+      if right then begin
+        lo := !lo + half;
+        node := !node + half
+      end
+      else incr node;
+      size := half
+    done;
+    slots.(base + !lo) <- tag;
+    !pos >= 0
+  | Mru ->
+    (* The target is the hit, else the first way that is empty or has its
+       bit clear, else way 0. Its bit is set; if that sets every bit, all
+       the others are cleared. *)
+    let target = ref !pos in
+    if !target < 0 then begin
+      let k = ref 0 in
+      while
+        !k < ways && slots.(base + !k) <> -1 && meta.(mbase + !k) = 1
+      do
+        incr k
+      done;
+      target := if !k < ways then !k else 0
+    end;
+    slots.(base + !target) <- tag;
+    meta.(mbase + !target) <- 1;
+    let k = ref 0 in
+    while !k < ways && meta.(mbase + !k) = 1 do incr k done;
+    if !k = ways then
+      for k = 0 to ways - 1 do
+        meta.(mbase + k) <- (if k = !target then 1 else 0)
+      done;
+    !pos >= 0
 
 (* All ways-length sequences of pairwise-distinct blocks. *)
 let rec arrangements ways blocks =
@@ -269,12 +324,19 @@ let rec arrangements ways blocks =
          List.map (fun tail -> b :: tail) (arrangements (ways - 1) rest))
       blocks
 
-let rec bit_patterns n =
-  if n = 0 then [ [] ]
-  else
-    List.concat_map
-      (fun tail -> [ false :: tail; true :: tail ])
-      (bit_patterns (n - 1))
+(* Every metadata section, in [pack]'s layout, that a full set can hold:
+   all PLRU tree-bit patterns, all MRU bit patterns but all-ones (which is
+   transient: it is normalised away on the access that would create it),
+   and every RR pointer. *)
+let meta_patterns kind ~ways =
+  let bit_vectors n =
+    List.init (1 lsl n) (fun m -> List.init n (fun k -> (m lsr k) land 1))
+  in
+  match kind with
+  | Lru | Fifo -> [ [] ]
+  | Plru -> bit_vectors (ways - 1)
+  | Mru -> List.filter (List.mem 0) (bit_vectors ways)
+  | Round_robin -> List.init ways (fun p -> [ p ])
 
 (* Rebuild a PLRU tree from leaf contents and an explicit bit assignment
    (pre-order over internal nodes). *)
@@ -308,35 +370,20 @@ let tree_of ways contents bits =
 
 let enumerate_full_states kind ~ways ~blocks =
   if ways < 1 then invalid_arg "Policy.enumerate_full_states: ways must be >= 1";
-  let fills = arrangements ways blocks in
-  match kind with
-  | Lru -> List.map (fun tags -> Slru (ways, tags)) fills
-  | Fifo -> List.map (fun tags -> Sfifo (ways, tags)) fills
-  | Plru ->
-    if ways land (ways - 1) <> 0 || ways > 8 then
-      invalid_arg "Policy.enumerate_full_states: PLRU requires ways in {1,2,4,8}";
-    List.concat_map
-      (fun contents ->
-         List.map
-           (fun bits -> Splru (tree_of ways contents bits))
-           (bit_patterns (ways - 1)))
-      fills
-  | Mru ->
-    (* The all-ones bit pattern is transient (it is normalised away on the
-       access that would create it), so exclude it. *)
-    List.concat_map
-      (fun contents ->
-         List.filter_map
-           (fun bits ->
-              if List.for_all (fun b -> b) bits then None
-              else Some (Smru (List.map2 (fun c b -> (Some c, b)) contents bits)))
-           (bit_patterns ways))
-      fills
-  | Round_robin ->
-    List.concat_map
-      (fun contents ->
-         List.init ways (fun p -> Srr (List.map (fun c -> Some c) contents, p)))
-      fills
+  if kind = Plru && (ways land (ways - 1) <> 0 || ways > 8) then
+    invalid_arg "Policy.enumerate_full_states: PLRU requires ways in {1,2,4,8}";
+  let state contents meta =
+    match kind with
+    | Lru -> Slru (ways, contents)
+    | Fifo -> Sfifo (ways, contents)
+    | Plru -> Splru (tree_of ways contents (List.map (( = ) 1) meta))
+    | Mru -> Smru (List.map2 (fun c b -> (Some c, b = 1)) contents meta)
+    | Round_robin -> Srr (List.map Option.some contents, List.hd meta)
+  in
+  let patterns = meta_patterns kind ~ways in
+  List.concat_map
+    (fun contents -> List.map (state contents) patterns)
+    (arrangements ways blocks)
 
 let pp ppf state =
   let pp_slot ppf = function

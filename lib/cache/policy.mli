@@ -39,17 +39,25 @@ val pack : state -> int list
     [pack a = pack b] iff [equal a b]. The fast-path engine uses it both as
     a memo-key component and to seed bit-packed replay arrays. *)
 
-val packed_kind : kind -> bool
-(** Whether the kind supports {!packed_step} (LRU, FIFO, round-robin). *)
+val meta_width : kind -> ways:int -> int
+(** Words of policy metadata in {!pack}'s metadata section and in a
+    {!packed_step} segment: 0 for LRU/FIFO, 1 for round-robin (the victim
+    pointer), [ways - 1] for PLRU (tree bits), [ways] for MRU (MRU bits). *)
 
 val packed_step :
   kind -> slots:int array -> base:int -> ways:int ->
   meta:int array -> mbase:int -> int -> bool
-(** In-place access on one set stored as a packed slots segment
-    ([slots.(base .. base+ways-1)] in policy order, -1 = empty; [meta.(mbase)]
-    is the RR victim pointer, unused otherwise). Produces exactly {!access}'s
-    hit/miss and successor state for non-negative tags.
-    @raise Invalid_argument for kinds without a packed layout. *)
+(** In-place access on one set stored as a packed segment:
+    [slots.(base .. base+ways-1)] are the tags in {!pack}'s slot order
+    (-1 = empty), [meta.(mbase .. mbase + meta_width - 1)] is {!pack}'s
+    metadata section. Produces exactly {!access}'s hit/miss, and leaves
+    {!pack} of {!access}'s successor state, for non-negative tags. *)
+
+val meta_patterns : kind -> ways:int -> int list list
+(** Every metadata section, in {!pack}'s layout, that a full set can hold
+    (all PLRU tree-bit patterns, all MRU bit patterns but the transient
+    all-ones, every RR pointer; one empty section for LRU/FIFO), in the
+    order {!enumerate_full_states} pairs them with each arrangement. *)
 
 val enumerate_full_states : kind -> ways:int -> blocks:int list -> state list
 (** Every representable state whose ways are all valid and filled with

@@ -65,75 +65,50 @@ let state_samples config ~universe ~count ~seed =
 
 (* The persistent [access] copies the per-set state array (and, inside
    Policy, rebuilds lists) on every access — fine for exploration, fatal in
-   the T_p(q,i) hot loop. A [replay] is a mutable working copy: LRU, FIFO
-   and round-robin sets flatten to one [int array] of tags (recency order /
-   insertion order / physical order, -1 = empty) plus, for RR, a victim
-   pointer per set; the remaining policies keep their persistent per-set
-   states in an array updated in place. Tags must be non-negative (true for
-   all real address streams; the negative "unknown block" ids exist only in
-   Cache_metrics' policy-level exploration, which does not come through
-   here). *)
-type replay =
-  | Packed of {
-      rconfig : config;
-      slots : int array;   (* sets * ways tags, -1 empty *)
-      ptrs : int array;    (* RR next-victim per set; empty otherwise *)
-    }
-  | Boxed of {
-      rconfig : config;
-      rstate : Policy.state array;
-    }
+   the T_p(q,i) hot loop. A [replay] is a mutable working copy in
+   [Policy.pack]'s layout: one [int array] of tags per set (policy order,
+   -1 = empty) and one of policy metadata, [Policy.meta_width] words per
+   set, both stepped in place by [Policy.packed_step]. Tags must be
+   non-negative (true for all real address streams). *)
+type replay = {
+  rconfig : config;
+  slots : int array;   (* sets * ways tags, -1 empty *)
+  meta : int array;    (* sets * meta_width metadata words *)
+  meta_width : int;
+}
 
 let replay t =
-  match t.config.kind with
-  | Policy.Lru | Policy.Fifo | Policy.Round_robin ->
-    let w = t.config.ways in
-    let slots = Array.make (t.config.sets * w) (-1) in
-    let rr = t.config.kind = Policy.Round_robin in
-    let ptrs = if rr then Array.make t.config.sets 0 else [||] in
-    Array.iteri
-      (fun set s ->
-         (* pack = kind :: ways :: slots [@ meta]; RR meta is the pointer. *)
-         match Policy.pack s with
-         | _ :: _ :: rest ->
-           List.iteri
-             (fun k v ->
-                if k < w then slots.((set * w) + k) <- v
-                else if rr then ptrs.(set) <- v)
-             rest
-         | _ -> assert false)
-      t.state;
-    Packed { rconfig = t.config; slots; ptrs }
-  | Policy.Plru | Policy.Mru ->
-    Boxed { rconfig = t.config; rstate = Array.copy t.state }
+  let w = t.config.ways in
+  let meta_width = Policy.meta_width t.config.kind ~ways:w in
+  let slots = Array.make (t.config.sets * w) (-1) in
+  let meta = Array.make (t.config.sets * meta_width) 0 in
+  Array.iteri
+    (fun set s ->
+       (* pack = kind :: ways :: slots @ meta. *)
+       match Policy.pack s with
+       | _ :: _ :: rest ->
+         List.iteri
+           (fun k v ->
+              if k < w then slots.((set * w) + k) <- v
+              else meta.((set * meta_width) + k - w) <- v)
+           rest
+       | _ -> assert false)
+    t.state;
+  { rconfig = t.config; slots; meta; meta_width }
 
-let replay_copy = function
-  | Packed p ->
-    Packed { p with slots = Array.copy p.slots; ptrs = Array.copy p.ptrs }
-  | Boxed b -> Boxed { b with rstate = Array.copy b.rstate }
+let replay_copy r =
+  { r with slots = Array.copy r.slots; meta = Array.copy r.meta }
 
 let replay_reset ~dst ~src =
-  match dst, src with
-  | Packed d, Packed s ->
-    Array.blit s.slots 0 d.slots 0 (Array.length s.slots);
-    Array.blit s.ptrs 0 d.ptrs 0 (Array.length s.ptrs)
-  | Boxed d, Boxed s -> Array.blit s.rstate 0 d.rstate 0 (Array.length s.rstate)
-  | (Packed _ | Boxed _), _ ->
-    invalid_arg "Set_assoc.replay_reset: mismatched replay kinds"
+  Array.blit src.slots 0 dst.slots 0 (Array.length src.slots);
+  Array.blit src.meta 0 dst.meta 0 (Array.length src.meta)
 
 let replay_access r addr =
-  match r with
-  | Boxed b ->
-    let set = set_of_addr b.rconfig addr in
-    let hit, s' = Policy.access b.rstate.(set) (block_of_addr b.rconfig addr) in
-    b.rstate.(set) <- s';
-    hit
-  | Packed p ->
-    let set = set_of_addr p.rconfig addr in
-    Policy.packed_step p.rconfig.kind ~slots:p.slots
-      ~base:(set * p.rconfig.ways) ~ways:p.rconfig.ways ~meta:p.ptrs
-      ~mbase:set
-      (block_of_addr p.rconfig addr)
+  let set = set_of_addr r.rconfig addr in
+  Policy.packed_step r.rconfig.kind ~slots:r.slots
+    ~base:(set * r.rconfig.ways) ~ways:r.rconfig.ways ~meta:r.meta
+    ~mbase:(set * r.meta_width)
+    (block_of_addr r.rconfig addr)
 
 let pack t =
   t.config.sets :: t.config.ways :: t.config.line

@@ -44,12 +44,12 @@ val pp : Format.formatter -> t -> unit
 (** {2 Mutable replay}
 
     The persistent {!access} copies the per-set state array on every access;
-    a replay is a mutable working copy for the fast-path hot loop. LRU, FIFO
-    and round-robin sets flatten to plain [int array]s stepped in place; the
-    other policies fall back to an in-place array of persistent states.
-    Replays assume non-negative addresses (every real address stream). A
-    replay's accesses produce exactly the hit/miss sequence of the
-    persistent cache it was built from — pinned by the test suite. *)
+    a replay is a mutable working copy for the fast-path hot loop: every
+    set flattens to {!Policy.pack}'s tag and metadata words in plain
+    [int array]s, stepped in place by {!Policy.packed_step}. Replays assume
+    non-negative addresses (every real address stream). A replay's accesses
+    produce exactly the hit/miss sequence of the persistent cache it was
+    built from — pinned by the test suite. *)
 
 type replay
 
@@ -60,8 +60,7 @@ val replay_copy : replay -> replay
 
 val replay_reset : dst:replay -> src:replay -> unit
 (** Overwrite [dst] with [src]'s state without allocating. The two must
-    come from caches of identical geometry and kind.
-    @raise Invalid_argument on mismatched replay representations. *)
+    come from caches of identical geometry and kind. *)
 
 val replay_access : replay -> int -> bool
 (** [replay_access r addr] is the hit/miss result of {!access}, updating

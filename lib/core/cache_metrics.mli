@@ -28,13 +28,16 @@ val estimate_to_string : estimate -> string
 val evict :
   ?jobs:int -> ?engine:Quantify.engine ->
   Cache.Policy.kind -> ways:int -> max_probes:int -> estimate
-(** The state-space exploration runs on [jobs] worker domains (default
-    {!Prelude.Parallel.default_jobs}); results are identical for any job
-    count. Under [`Fast] (default [`Exact]), LRU/FIFO/round-robin step one
-    packed working array in place instead of copying persistent states per
-    probe — with old blocks renamed to positive ids, a symmetry every
-    policy is invariant under, so the estimates (and the eval accounting)
-    are identical; PLRU and MRU fall back to the generic exploration.
+(** Under [`Exact] (the default), the reference exploration: every
+    initial state from {!Cache.Policy.enumerate_full_states} is stepped by
+    the persistent {!Cache.Policy.access} on [jobs] worker domains (default
+    {!Prelude.Parallel.default_jobs}), one eval per state and probe. Under
+    [`Fast], one sequential exploration for every policy, stepped by
+    {!Cache.Policy.packed_step}: the never-accessed old blocks collapse to
+    one tag (every policy compares a slot only with the accessed tag or with
+    "empty", so the verdicts are unchanged), and repeated states are
+    removed after each probe; one eval per transition stepped. Both engines
+    give the same estimate, for any job count.
     @raise Invalid_argument on geometries the policy cannot represent. *)
 
 val fill :

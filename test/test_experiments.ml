@@ -60,10 +60,37 @@ let test_lookup () =
       Alcotest.(check bool) "error lists valid ids" true
         (string_contains msg "FIG1")
 
+(* RW.CACHE's three checks would still pass if a fill horizon moved (say,
+   PLRU fill = 13 instead of beyond 14), so its whole table is pinned: the
+   fast exploration must reproduce the published values and every ">budget"
+   cell byte for byte. *)
+let test_rw_cache_table () =
+  let expected =
+    String.concat "\n"
+      [ "| policy | ways | evict | fill |";
+        "|--------|------|-------|------|";
+        "| LRU    | 2    | 2     | 2    |";
+        "| FIFO   | 2    | 3     | 5    |";
+        "| PLRU   | 2    | 2     | >8   |";
+        "| MRU    | 2    | 2     | >8   |";
+        "| RR     | 2    | 3     | >8   |";
+        "|--------|------|-------|------|";
+        "| LRU    | 4    | 4     | 4    |";
+        "| FIFO   | 4    | 7     | 11   |";
+        "| PLRU   | 4    | 5     | >14  |";
+        "| MRU    | 4    | 6     | >14  |";
+        "| RR     | 4    | 7     | >14  |";
+        "|--------|------|-------|------|";
+        "" ]
+  in
+  Alcotest.(check string) "RW.CACHE body" expected
+    (Predictability.Exp_cache_metrics.run ()).Predictability.Report.body
+
 let () =
   Alcotest.run "experiments"
     [ ("registry",
        [ Alcotest.test_case "unique ids" `Quick test_registry_unique_ids;
          Alcotest.test_case "unknown id" `Quick test_run_unknown_id;
-         Alcotest.test_case "lookup" `Quick test_lookup ]);
+         Alcotest.test_case "lookup" `Quick test_lookup;
+         Alcotest.test_case "RW.CACHE table pinned" `Quick test_rw_cache_table ]);
       ("reproduction", List.map experiment_case Predictability.Experiments.all) ]

@@ -66,6 +66,68 @@ let prop_replay_reset_restores =
        in
        run () = run ())
 
+(* Random single-set states of every kind: warmed from empty (full or
+   partly empty), or drawn from the full-state enumeration, which also
+   reaches metadata patterns no short warm-up produces. *)
+let policy_step_case =
+  QCheck.Gen.(
+    let* kind = oneofl Cache.Policy.all_kinds in
+    let* ways =
+      match kind with
+      | Cache.Policy.Plru -> oneofl [ 1; 2; 4 ]
+      | _ -> int_range 1 4
+    in
+    let* warm = list_size (int_range 0 12) (int_range 0 7) in
+    let* enumerated = bool in
+    let* pick = int_range 0 10_000 in
+    let* tags = list_size (int_range 1 30) (int_range 0 7) in
+    let start =
+      if enumerated then
+        let states =
+          Cache.Policy.enumerate_full_states kind ~ways
+            ~blocks:(List.init 6 Fun.id)
+        in
+        List.nth states (pick mod List.length states)
+      else
+        List.fold_left
+          (fun s tag -> snd (Cache.Policy.access s tag))
+          (Cache.Policy.init kind ~ways) warm
+    in
+    return (start, tags))
+
+let prop_packed_step_matches_access =
+  QCheck.Test.make ~count:1000
+    ~name:"Policy.packed_step = pack of access (all kinds)"
+    (QCheck.make
+       ~print:(fun (s, tags) ->
+           Format.asprintf "%a then %s" Cache.Policy.pp s
+             (String.concat " " (List.map string_of_int tags)))
+       policy_step_case)
+    (fun (start, tags) ->
+       let kind = Cache.Policy.kind start and ways = Cache.Policy.ways start in
+       let width = Cache.Policy.meta_width kind ~ways in
+       let words s = List.tl (List.tl (Cache.Policy.pack s)) in
+       let packed = Array.of_list (words start) in
+       let slots = Array.sub packed 0 ways in
+       let meta = Array.sub packed ways width in
+       ignore
+         (List.fold_left
+            (fun s tag ->
+               let hit, s' = Cache.Policy.access s tag in
+               let hit' =
+                 Cache.Policy.packed_step kind ~slots ~base:0 ~ways ~meta
+                   ~mbase:0 tag
+               in
+               if hit <> hit' then
+                 QCheck.Test.fail_reportf "%a: hit %b vs %b on tag %d"
+                   Cache.Policy.pp s hit hit' tag;
+               if Array.to_list slots @ Array.to_list meta <> words s' then
+                 QCheck.Test.fail_reportf "%a: tag %d leaves a different state"
+                   Cache.Policy.pp s tag;
+               s')
+            start tags);
+       true)
+
 let predictor_pool =
   [ Branchpred.Predictor.static Branchpred.Predictor.Btfn;
     Branchpred.Predictor.static Branchpred.Predictor.Always_taken;
@@ -509,12 +571,16 @@ let test_quantify_batched_validation () =
 
 (* --- Cache_metrics packed exploration ------------------------------------ *)
 
+(* Every kind up to ways 4. At ways 4 the budget of 10 reaches every evict
+   horizon RW.CACHE reports and LRU's fill; the other fills lie beyond it,
+   so every depth up to 10 is explored. The exact engine is the boxed
+   reference. *)
 let test_cache_metrics_engines_agree () =
   List.iter
     (fun kind ->
        List.iter
          (fun ways ->
-            let max_probes = (2 * ways) + 2 in
+            let max_probes = if ways = 4 then 10 else (2 * ways) + 2 in
             let exact_evict =
               Predictability.Cache_metrics.evict ~jobs:1 kind ~ways ~max_probes
             in
@@ -539,14 +605,14 @@ let test_cache_metrics_engines_agree () =
                  (Cache.Policy.kind_name kind) ways)
               (Predictability.Cache_metrics.estimate_to_string exact_fill)
               (Predictability.Cache_metrics.estimate_to_string fast_fill))
-         (if kind = Cache.Policy.Plru then [ 2; 4 ] else [ 2; 3 ]))
-    [ Cache.Policy.Lru; Cache.Policy.Fifo; Cache.Policy.Round_robin;
-      Cache.Policy.Plru; Cache.Policy.Mru ]
+         (if kind = Cache.Policy.Plru then [ 1; 2; 4 ] else [ 1; 2; 3; 4 ]))
+    Cache.Policy.all_kinds
 
 let () =
   Alcotest.run "fastpath"
     [ ("replay",
        [ QCheck_alcotest.to_alcotest prop_set_assoc_replay_matches_access;
+         QCheck_alcotest.to_alcotest prop_packed_step_matches_access;
          QCheck_alcotest.to_alcotest prop_replay_reset_restores;
          QCheck_alcotest.to_alcotest prop_predictor_replay_matches_update;
          Alcotest.test_case "Policy.pack injective" `Quick
@@ -574,5 +640,5 @@ let () =
          Alcotest.test_case "batched validation" `Quick
            test_quantify_batched_validation ]);
       ("cache-metrics",
-       [ Alcotest.test_case "packed = generic exploration" `Quick
+       [ Alcotest.test_case "packed = generic exploration" `Slow
            test_cache_metrics_engines_agree ]) ]
