@@ -71,8 +71,7 @@ let certify machine (w : Isa.Workload.t) =
      cached fetch) the set of accesses the must/may analysis could not
      classify — those costs vary with the unknown initial cache. *)
   let ub_full, lb_full =
-    Wcet.bracket ~engine:`Fast ~upper:machine.upper ~lower:machine.lower
-      ~shapes ~entry ()
+    Wcet.bracket ~upper:machine.upper ~lower:machine.lower ~shapes ~entry ()
   in
   let unclassified =
     List.fold_left
@@ -118,7 +117,7 @@ let certify machine (w : Isa.Workload.t) =
         && Isa.Instr.is_branch (Isa.Program.instr program pc))
   in
   let ub_f, lb_f =
-    Wcet.bracket ~engine:`Fast ~site_filter:varies ~upper:machine.upper
+    Wcet.bracket ~site_filter:varies ~upper:machine.upper
       ~lower:machine.lower ~shapes ~entry ()
   in
   let varying_sites =

@@ -214,27 +214,9 @@ let bound ?(site_filter = fun _ -> true) config kind ~shapes ~entry =
   let total, st = walk [ entry ] { cache = initial_cache; obs = [] } entry_shape in
   { bound = total; observations = List.rev st.obs }
 
-let bracket ?jobs ?(engine = `Exact) ?site_filter ~upper ~lower ~shapes
-    ~entry () =
-  (* The two bound computations share nothing mutable, so run them on the
-     domain pool; result order is fixed by the task list, not scheduling.
-     Both walks usually finish in microseconds, so under [`Fast] they stay
-     on the calling domain where the pool's spawn would dominate. *)
-  match engine with
-  | `Fast ->
-    ( bound ?site_filter upper Upper ~shapes ~entry,
-      bound ?site_filter lower Lower ~shapes ~entry )
-  | `Exact ->
-    (match
-       Prelude.Parallel.map ?jobs
-         (fun kind ->
-            match kind with
-            | Upper -> bound ?site_filter upper Upper ~shapes ~entry
-            | Lower -> bound ?site_filter lower Lower ~shapes ~entry)
-         [ Upper; Lower ]
-     with
-     | [ ub; lb ] -> (ub, lb)
-     | _ -> assert false)
+let bracket ?site_filter ~upper ~lower ~shapes ~entry () =
+  ( bound ?site_filter upper Upper ~shapes ~entry,
+    bound ?site_filter lower Lower ~shapes ~entry )
 
 let classified_fraction result =
   match result.observations with

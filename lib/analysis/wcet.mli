@@ -63,16 +63,12 @@ val bound :
     invariant remainder contributes identically to every run. *)
 
 val bracket :
-  ?jobs:int -> ?engine:[ `Exact | `Fast ] -> ?site_filter:(int -> bool) ->
-  upper:config -> lower:config ->
+  ?site_filter:(int -> bool) -> upper:config -> lower:config ->
   shapes:(string * Isa.Ast.shape) list -> entry:string -> unit ->
   result * result
-(** [(upper_result, lower_result)]: the UB and LB walks evaluated
-    concurrently on the {!Prelude.Parallel} pool (they are independent).
-    Identical to two sequential {!bound} calls for any job count. Under
-    [`Fast] (default [`Exact]) both walks run inline on the calling domain
-    — the right choice when each walk is far cheaper than a pool spawn —
-    with bit-identical results. *)
+(** [(upper_result, lower_result)]: the UB and LB walks, run in sequence
+    on the calling domain (each takes microseconds, far less than a pool
+    spawn). *)
 
 val classified_fraction : result -> float option
 (** Fraction of fetch observations classified AH or AM, or [None] when

@@ -26,7 +26,7 @@ type estimate =
 val estimate_to_string : estimate -> string
 
 val evict :
-  ?jobs:int -> ?engine:Quantify.engine ->
+  ?jobs:int -> ?engine:[ `Exact | `Fast ] ->
   Cache.Policy.kind -> ways:int -> max_probes:int -> estimate
 (** Under [`Exact] (the default), the reference exploration: every
     initial state from {!Cache.Policy.enumerate_full_states} is stepped by
@@ -41,5 +41,5 @@ val evict :
     @raise Invalid_argument on geometries the policy cannot represent. *)
 
 val fill :
-  ?jobs:int -> ?engine:Quantify.engine ->
+  ?jobs:int -> ?engine:[ `Exact | `Fast ] ->
   Cache.Policy.kind -> ways:int -> max_probes:int -> estimate

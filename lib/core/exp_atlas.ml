@@ -32,11 +32,10 @@ let measure (name, make) =
   let inputs = Prelude.Listx.take 40 w.Isa.Workload.inputs in
   (* Fast engine (gated by the FIG1.FAST oracle): bit-identical matrix. *)
   let matrix =
-    Quantify.evaluate_timer ~engine:`Fast ~states ~inputs
-      (Harness.inorder_timer ~engine:`Fast program)
+    Quantify.evaluate_timer ~states ~inputs (Harness.inorder_timer program)
   in
   let ub_result, lb_result =
-    Analysis.Wcet.bracket ~engine:`Fast ~upper:(analysis_config true)
+    Analysis.Wcet.bracket ~upper:(analysis_config true)
       ~lower:(analysis_config false) ~shapes ~entry:"main" ()
   in
   let ub = ub_result.Analysis.Wcet.bound

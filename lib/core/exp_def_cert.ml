@@ -61,22 +61,19 @@ let measure (name, make) =
     | [ f; c ] -> (f, c)
     | _ -> assert false
   in
-  let timer = Harness.inorder_timer ~engine:`Fast program in
+  let timer = Harness.inorder_timer program in
   (* Flat machine: a single perfect-memory state, the full input set —
      the exhaustive ground truth for the Invariant-iff check is over
      exactly the input set the taint analysis was seeded from. *)
   let flat_matrix =
-    Quantify.evaluate_timer ~engine:`Fast
-      ~states:[ Pipeline.Inorder.state () ]
+    Quantify.evaluate_timer ~states:[ Pipeline.Inorder.state () ]
       ~inputs:w.Isa.Workload.inputs timer
   in
   let fb = Quantify.bcet flat_matrix and fw = Quantify.wcet flat_matrix in
   (* Cached machine: the standard uncertainty set, FIG1.SOUND input cap. *)
   let states = Harness.inorder_states program w in
   let inputs = Prelude.Listx.take Sampled.input_cap w.Isa.Workload.inputs in
-  let cached_matrix =
-    Quantify.evaluate_timer ~engine:`Fast ~states ~inputs timer
-  in
+  let cached_matrix = Quantify.evaluate_timer ~states ~inputs timer in
   let cb = Quantify.bcet cached_matrix and cw = Quantify.wcet cached_matrix in
   let sampled =
     Quantify.sample ~spec:Sampling.Sampler.default ~states ~inputs timer

@@ -17,9 +17,8 @@ let run () =
       ("6 states x 8 keys", 6, 8);
       ("full uncertainty", List.length states, List.length w.Isa.Workload.inputs) ]
   in
-  (* The per-cut matrices are tiny; [`Fast] keeps them off the pool. *)
   let levels =
-    Extent.profile ~engine:`Fast ~states ~inputs:w.Isa.Workload.inputs
+    Extent.profile ~states ~inputs:w.Isa.Workload.inputs
       ~time:(Harness.inorder_time program) ~cuts ()
   in
   let table =

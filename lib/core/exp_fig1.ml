@@ -9,9 +9,8 @@ let run () =
   let states = Harness.inorder_states program w in
   (* Fast engine (gated by the FIG1.FAST oracle): bit-identical matrix. *)
   let matrix =
-    Quantify.evaluate_timer ~engine:`Fast ~states
-      ~inputs:w.Isa.Workload.inputs
-      (Harness.inorder_timer ~engine:`Fast program)
+    Quantify.evaluate_timer ~states ~inputs:w.Isa.Workload.inputs
+      (Harness.inorder_timer program)
   in
   let bcet = Quantify.bcet matrix and wcet = Quantify.wcet matrix in
   let analysis_config kind =

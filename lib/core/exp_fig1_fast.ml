@@ -5,7 +5,11 @@
    workload, at jobs 1/2/4/8, with the memo table on and off, and again on
    a warm memo. Any fast-path shortcut that changes a single cell turns
    the whole speedup into a lie; this oracle is the gate that lets the
-   experiments and the benchmark suite opt into [`Fast]. *)
+   experiments and the benchmark suite time cells through
+   Harness.inorder_timer instead of the interpreter. Its matrices (at
+   most 144 cells) are under Quantify.inline_cells, so they run on the
+   calling domain at every job count; test_fastpath pins the pool path of
+   batched rows. *)
 
 type row = {
   name : string;
@@ -31,9 +35,9 @@ let measure (name, make) =
     let timer =
       match timer_opt with
       | Some t -> t
-      | None -> Harness.inorder_timer ~engine:`Fast ~memo program
+      | None -> Harness.inorder_timer ~memo program
     in
-    (Quantify.evaluate_timer ~jobs ~engine:`Fast ~states ~inputs timer, timer)
+    (Quantify.evaluate_timer ~jobs ~states ~inputs timer, timer)
   in
   let engines_agree, warm_agree =
     List.fold_left

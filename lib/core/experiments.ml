@@ -57,15 +57,6 @@ let run id =
   | Ok (_, _, runner) -> runner ()
   | Error message -> invalid_arg ("Experiments.run: " ^ message)
 
-let timed_runner runner =
-  let outcome, timing = Harness.timed runner in
-  { outcome; timing }
-
-let run_timed id =
-  match lookup id with
-  | Ok (_, _, runner) -> timed_runner runner
-  | Error message -> invalid_arg ("Experiments.run_timed: " ^ message)
-
 let result_to_json { outcome; timing } =
   match Report.outcome_to_json outcome, Report.timing_to_json timing with
   | Prelude.Json.Obj outcome_fields, Prelude.Json.Obj timing_fields ->
@@ -99,7 +90,11 @@ let to_json ~jobs ~elapsed_s results =
    the per-experiment instrumentation are identical for any job count
    (modulo wall-clock). *)
 let run_all ?jobs () =
-  Prelude.Parallel.map ?jobs (fun (_, _, runner) -> timed_runner runner) all
+  Prelude.Parallel.map ?jobs
+    (fun (_, _, runner) ->
+       let outcome, timing = Harness.timed runner in
+       { outcome; timing })
+    all
 
 (* --- Fault-tolerant supervision ---------------------------------------- *)
 

@@ -21,10 +21,6 @@ val run : string -> Report.outcome
 (** @raise Invalid_argument for an unknown id, naming it and the valid
     ids. *)
 
-val run_timed : string -> result
-(** Like {!run}, with wall-clock and work-counter instrumentation.
-    @raise Invalid_argument for an unknown id. *)
-
 val result_to_json : result -> Prelude.Json.t
 (** One flat object per experiment: {!Report.outcome_to_json}'s fields
     merged with {!Report.timing_to_json}'s ([id], [title], [checks],

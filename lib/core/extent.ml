@@ -7,7 +7,7 @@ type 'a level = {
   iipr : Prelude.Ratio.t;
 }
 
-let profile ?jobs ?(engine = `Exact) ~states ~inputs ~time ~cuts () =
+let profile ~states ~inputs ~time ~cuts () =
   if states = [] then invalid_arg "Extent.profile: empty state set";
   if inputs = [] then invalid_arg "Extent.profile: empty input set";
   if cuts = [] then invalid_arg "Extent.profile: no cuts";
@@ -15,11 +15,11 @@ let profile ?jobs ?(engine = `Exact) ~states ~inputs ~time ~cuts () =
   let level (label, n_states, n_inputs) =
     let state_count = clamp n_states (List.length states) in
     let input_count = clamp n_inputs (List.length inputs) in
+    (* The cuts are tiny: a pool spawn per cut would dominate them. *)
     let matrix =
-      Quantify.evaluate_timer ?jobs ~engine
+      Quantify.evaluate ~jobs:1
         ~states:(Prelude.Listx.take state_count states)
-        ~inputs:(Prelude.Listx.take input_count inputs)
-        (Quantify.Scalar time)
+        ~inputs:(Prelude.Listx.take input_count inputs) ~time ()
     in
     { label; state_count; input_count;
       pr = Quantify.pr matrix;

@@ -17,15 +17,13 @@ type 'a level = {
 }
 
 val profile :
-  ?jobs:int -> ?engine:Quantify.engine ->
   states:'q list -> inputs:'i list -> time:('q -> 'i -> int) ->
   cuts:(string * int * int) list -> unit -> 'q level list
 (** [profile ~states ~inputs ~time ~cuts ()] evaluates the quantities of
     Defs. 3-5 for each [(label, n_states, n_inputs)] prefix pair. Prefix
-    sizes are clamped to at least 1 and at most the list lengths. [engine]
-    is passed to {!Quantify.evaluate_timer}: under [`Fast] the per-cut
-    matrices — typically tiny — stay on the calling domain instead of
-    paying a pool spawn per cut; values are bit-identical either way.
+    sizes are clamped to at least 1 and at most the list lengths. The
+    per-cut matrices — typically tiny — are evaluated on the calling
+    domain.
     @raise Invalid_argument on empty [states]/[inputs]/[cuts]. *)
 
 val antitone : 'q level list -> bool

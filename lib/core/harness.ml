@@ -47,13 +47,10 @@ let inorder_states ?(predictor = Branchpred.Predictor.static Branchpred.Predicto
 
 let inorder_time program state input = Pipeline.Inorder.time program state input
 
-let inorder_timer ?(engine = `Exact) ?(memo = true) program =
-  match engine with
-  | `Exact -> Quantify.Scalar (inorder_time program)
-  | `Fast ->
-    let eng = Fastpath.Engine.create ~memo program in
-    Quantify.Batched
-      { scalar = Fastpath.Engine.time eng; row = Fastpath.Engine.row eng }
+let inorder_timer ?(memo = true) program =
+  let eng = Fastpath.Engine.create ~memo program in
+  Quantify.Batched
+    { scalar = Fastpath.Engine.time eng; row = Fastpath.Engine.row eng }
 
 let outcomes program inputs = List.map (Isa.Exec.run program) inputs
 

@@ -32,13 +32,13 @@ val inorder_time :
 (** [T_p(q, i)] on the in-order machine. *)
 
 val inorder_timer :
-  ?engine:Quantify.engine -> ?memo:bool -> Isa.Program.t ->
+  ?memo:bool -> Isa.Program.t ->
   (Pipeline.Inorder.state, Isa.Exec.input) Quantify.timer
-(** The in-order [T_p] as a {!Quantify.timer}. [`Exact] (default) wraps
-    {!inorder_time}; [`Fast] builds a {!Fastpath.Engine} (one per call —
-    reuse the timer across evaluations to share its caches) whose batched
-    rows produce bit-identical times. [memo] (default true) enables the
-    engine's [T_p] memo table. *)
+(** The in-order [T_p] as a [Batched] {!Quantify.timer} over a
+    {!Fastpath.Engine} (one per call — reuse the timer across evaluations
+    to share its caches), bit-identical to {!inorder_time}, which stays
+    the exact reference. [memo] (default true) enables the engine's [T_p]
+    memo table. *)
 
 val outcomes : Isa.Program.t -> Isa.Exec.input list -> Isa.Exec.outcome list
 (** Functional executions of all inputs (shared by trace-driven models). *)
@@ -53,8 +53,8 @@ val elapsed : (unit -> 'a) -> 'a * float
     this measures once, end to end. *)
 
 val timed : (unit -> 'a) -> 'a * Report.timing
-(** Run a thunk with instrumentation: wall-clock time plus the calling
-    domain's {!Prelude.Instrument} counters (reset before, snapshot after).
+(** Run a thunk with instrumentation: wall-clock time plus the deltas of
+    the calling domain's {!Prelude.Instrument} counters across the call.
     Parallel kernels credit their sweeps to the calling domain, so this
     attributes correctly even when [f] fans out internally. *)
 

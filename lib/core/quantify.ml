@@ -1,7 +1,5 @@
 type matrix = int array array  (* indexed [state][input] *)
 
-type engine = [ `Exact | `Fast ]
-
 type ('q, 'i) timer =
   | Scalar of ('q -> 'i -> int)
   | Batched of {
@@ -9,17 +7,20 @@ type ('q, 'i) timer =
       row : 'q -> 'i array -> int array;
     }
 
-let timer_scalar = function
-  | Scalar time -> time
-  | Batched { scalar; _ } -> scalar
-
-(* Below this many cells a `Fast evaluation stays on the calling domain:
-   the per-call pool spawn/join costs milliseconds, which dwarfs the cells
-   themselves on small matrices (all of Extent.profile's cuts). The values
-   are engine-independent either way. *)
+(* Below this many cells a batched matrix stays on the calling domain: the
+   per-call pool spawn/join costs milliseconds, which dwarfs the fast-path
+   rows of a small matrix. Scalar matrices (the exact reference) always go
+   to the pool, so its path stays exercised. *)
 let inline_cells = 2048
 
-let evaluate_timer ?jobs ?(engine = `Exact) ~states ~inputs timer =
+(* Pool tasks can reject a time at the same moment, and Parallel then
+   raises Multiple_failures; keep the documented Invalid_argument. *)
+let invalid_first f =
+  try f () with
+  | Prelude.Parallel.Multiple_failures { first = Invalid_argument _ as e; _ } ->
+    Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
+
+let evaluate_timer ?jobs ~states ~inputs timer =
   if states = [] then invalid_arg "Quantify.evaluate: empty state set";
   if inputs = [] then invalid_arg "Quantify.evaluate: empty input set";
   let inputs = Array.of_list inputs in
@@ -47,37 +48,37 @@ let evaluate_timer ?jobs ?(engine = `Exact) ~states ~inputs timer =
       r
   in
   let cells = Array.length states * Array.length inputs in
-  (* Rows of the T_p(q, i) matrix are independent: evaluate them across the
+  (* Rows of the T_p(q, i) matrix are independent, so they may run on the
      domain pool. Ordering (and thus every min/max below) is deterministic
-     for any job count — and for either engine. *)
+     for any job count, inline or pooled. *)
   let m =
-    match engine with
-    | `Fast when cells < inline_cells ->
+    match timer with
+    | Batched _ when cells < inline_cells ->
       Array.map
         (fun q ->
            Prelude.Parallel.check_deadline ();
            row q)
         states
-    | `Exact | `Fast -> Prelude.Parallel.map_array ?jobs row states
+    | Scalar _ | Batched _ ->
+      invalid_first (fun () -> Prelude.Parallel.map_array ?jobs row states)
   in
   Prelude.Instrument.add_cells cells;
   Prelude.Instrument.add_evals cells;
   m
 
 let evaluate ?jobs ~states ~inputs ~time () =
-  evaluate_timer ?jobs ~engine:`Exact ~states ~inputs (Scalar time)
+  evaluate_timer ?jobs ~states ~inputs (Scalar time)
 
 (* Sampled evaluation: estimate the quantities from a seeded subset of
    cells instead of materialising Q x I. The timer's scalar is used per
-   sampled cell — with a [`Fast] timer (Harness.inorder_timer) that is
-   the fast-path engine, whose memo table turns the with-replacement
-   draws' repeats into hits. *)
+   sampled cell — with Harness.inorder_timer that is the fast-path engine,
+   whose memo table turns the with-replacement draws' repeats into hits. *)
 let sample ?jobs ~spec ~states ~inputs timer =
   if states = [] then invalid_arg "Quantify.sample: empty state set";
   if inputs = [] then invalid_arg "Quantify.sample: empty input set";
   let states = Array.of_list states in
   let inputs = Array.of_list inputs in
-  let scalar = timer_scalar timer in
+  let scalar = match timer with Scalar time -> time | Batched b -> b.scalar in
   let time q i =
     let t = scalar states.(q) inputs.(i) in
     if t <= 0 then
@@ -85,25 +86,14 @@ let sample ?jobs ~spec ~states ~inputs timer =
     t
   in
   let r =
-    Sampling.Sampler.run ?jobs ~spec ~n_states:(Array.length states)
-      ~n_inputs:(Array.length inputs) ~time ()
+    invalid_first (fun () ->
+        Sampling.Sampler.run ?jobs ~spec ~n_states:(Array.length states)
+          ~n_inputs:(Array.length inputs) ~time ())
   in
   (* Sampled mode touches [evals] cells, not Q x I: credit what ran. *)
   Prelude.Instrument.add_cells r.Sampling.Sampler.evals;
   Prelude.Instrument.add_evals r.Sampling.Sampler.evals;
   r
-
-type mode = [ engine | `Sampled of Sampling.Sampler.spec ]
-
-type evaluation =
-  | Exhaustive of matrix
-  | Sampled of Sampling.Sampler.result
-
-let evaluate_mode ?jobs ~mode ~states ~inputs timer =
-  match mode with
-  | (`Exact | `Fast) as engine ->
-    Exhaustive (evaluate_timer ?jobs ~engine ~states ~inputs timer)
-  | `Sampled spec -> Sampled (sample ?jobs ~spec ~states ~inputs timer)
 
 let fold_matrix f init m =
   Array.fold_left (fun acc row -> Array.fold_left f acc row) init m

@@ -38,13 +38,6 @@ val evaluate :
     @raise Invalid_argument on empty [states]/[inputs] or a non-positive
     execution time. *)
 
-type engine = [ `Exact | `Fast ]
-(** Evaluation strategy selector. [`Exact] is the reference path: always
-    scalar [T_p] calls, always fanned out over the pool. [`Fast] may use a
-    timer's batched rows and keeps small matrices (under ~2k cells) on the
-    calling domain, where the pool's per-call domain spawn would dominate.
-    Both produce bit-identical matrices — gated by the FIG1.FAST oracle. *)
-
 type ('q, 'i) timer =
   | Scalar of ('q -> 'i -> int)
   | Batched of {
@@ -53,18 +46,24 @@ type ('q, 'i) timer =
         (** one matrix row in a single call (lockstep batch stepping);
             must agree cell-for-cell with [scalar] *)
     }
-(** A timing function, optionally with a batched row evaluator (e.g.
-    {!Fastpath.Engine.row} via {!Harness.inorder_timer}). *)
+(** A timing function, optionally with a batched row evaluator.
+    {!Harness.inorder_timer} builds the fast path's [Batched] timer
+    ({!Fastpath.Engine.row}); a [Scalar] timer such as
+    {!Harness.inorder_time} is the exact reference. *)
 
-val timer_scalar : ('q, 'i) timer -> 'q -> 'i -> int
+val inline_cells : int
+(** Batched matrices with fewer cells than this run on the calling
+    domain, where the pool's per-call domain spawn would dominate. *)
 
 val evaluate_timer :
-  ?jobs:int -> ?engine:engine -> states:'q list -> inputs:'i list ->
-  ('q, 'i) timer -> matrix
-(** {!evaluate} generalised over {!timer} and {!engine} (default [`Exact],
-    which with a [Scalar] timer is exactly {!evaluate}). Validation runs in
-    place on each worker's freshly produced row — a single pass, no second
-    O(Q*I) sweep. Batched rows of the wrong width are rejected. *)
+  ?jobs:int -> states:'q list -> inputs:'i list -> ('q, 'i) timer -> matrix
+(** {!evaluate} generalised over {!timer}; with a [Scalar] timer it is
+    exactly {!evaluate}. The timer decides the schedule: a [Batched]
+    matrix under {!inline_cells} runs on the calling domain, every other
+    matrix on [jobs] worker domains. The matrix is bit-identical either
+    way. Validation runs in place on each freshly produced row — a single
+    pass, no second O(Q*I) sweep. Batched rows of the wrong width are
+    rejected. *)
 
 val sample :
   ?jobs:int -> spec:Sampling.Sampler.spec -> states:'q list ->
@@ -72,26 +71,13 @@ val sample :
 (** Sampled evaluation: estimate Pr/SIPr/IIPr, the mean
     and pWCET-style BCET/WCET tails from a seeded subset of cells instead
     of materialising [Q * I] — the scale-past-exhaustive path. The
-    timer's scalar is invoked per sampled cell; built from
-    {!Harness.inorder_timer}[ ~engine:`Fast] that is the fast-path
-    engine, whose memo table absorbs the with-replacement repeats.
+    timer's scalar is invoked per sampled cell; for the timer
+    {!Harness.inorder_timer} builds, that is the fast-path engine, whose
+    memo table absorbs the with-replacement repeats.
     Results are bit-identical for any [jobs] and credit their evaluation
     count (not [Q * I]) to {!Prelude.Instrument}.
     @raise Invalid_argument on empty [states]/[inputs], an invalid spec,
     or a non-positive execution time. *)
-
-type mode = [ engine | `Sampled of Sampling.Sampler.spec ]
-(** {!engine} extended with sampled evaluation. *)
-
-type evaluation =
-  | Exhaustive of matrix
-  | Sampled of Sampling.Sampler.result
-
-val evaluate_mode :
-  ?jobs:int -> mode:mode -> states:'q list -> inputs:'i list ->
-  ('q, 'i) timer -> evaluation
-(** [`Exact]/[`Fast] dispatch to {!evaluate_timer}, [`Sampled spec] to
-    {!sample}. *)
 
 val pr : matrix -> Prelude.Ratio.t
 (** Def. 3.

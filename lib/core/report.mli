@@ -20,7 +20,7 @@ type timing = {
   evals : int;     (** kernel evaluations: [T_p(q,i)] calls, states explored *)
 }
 (** Per-experiment instrumentation, recorded by {!Experiments.run_all} /
-    {!Experiments.run_timed} around each runner. *)
+    {!Experiments.run_supervised} around each runner. *)
 
 type status =
   | Completed  (** the runner returned an outcome (checks may still fail) *)

@@ -35,12 +35,12 @@ let analyze ?jobs ?(spec = Sampling.Sampler.default) ?(cross_check = false)
   (* One fast-path timer for both passes: the sampled cells and the
      exhaustive sweep share the engine's compiled traces and memo table
      (their agreement is FIG1.FAST's guarantee). *)
-  let timer = Harness.inorder_timer ~engine:`Fast program in
+  let timer = Harness.inorder_timer program in
   let sampled = Quantify.sample ?jobs ~spec ~states ~inputs timer in
   let exhaustive =
     if not cross_check then None
     else begin
-      let m = Quantify.evaluate_timer ?jobs ~engine:`Fast ~states ~inputs timer in
+      let m = Quantify.evaluate_timer ?jobs ~states ~inputs timer in
       let times = Quantify.times m in
       let total = List.fold_left ( + ) 0 times in
       Some

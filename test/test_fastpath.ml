@@ -504,50 +504,62 @@ let prop_memoized_agrees_with_unmemoized =
               inputs)
          states)
 
-(* --- Determinism across jobs and engines --------------------------------- *)
+(* --- Determinism across jobs, and the timer's schedule -------------------- *)
 
 let test_jobs_determinism () =
   let w = Isa.Workload.find "bubble_sort" in
   let program, _ = Isa.Workload.program w in
-  let states = Predictability.Harness.inorder_states program w in
-  let inputs = take 10 w.Isa.Workload.inputs in
-  let exact =
-    Predictability.Quantify.evaluate ~jobs:1 ~states ~inputs
-      ~time:(Predictability.Harness.inorder_time program) ()
-  in
+  (* The first grid (60 cells) stays on the calling domain; the second, 18
+     states x all 120 inputs, reaches Quantify.inline_cells, so its batched
+     rows run on the pool. *)
+  let big_states = Predictability.Harness.inorder_states ~count:17 program w in
+  Alcotest.(check bool) "second grid reaches the pool" true
+    (List.length big_states * List.length w.Isa.Workload.inputs
+     >= Predictability.Quantify.inline_cells);
   List.iter
-    (fun jobs ->
-       let timer = Predictability.Harness.inorder_timer ~engine:`Fast program in
-       let fast =
-         Predictability.Quantify.evaluate_timer ~jobs ~engine:`Fast ~states
-           ~inputs timer
+    (fun (states, inputs) ->
+       let exact =
+         Predictability.Quantify.evaluate ~jobs:1 ~states ~inputs
+           ~time:(Predictability.Harness.inorder_time program) ()
        in
-       Alcotest.(check bool)
-         (Printf.sprintf "fast matrix at jobs=%d equals exact" jobs)
-         true (fast = exact);
-       (* Re-evaluating through the same timer serves memo hits; the matrix
-          must not change. *)
-       let again =
-         Predictability.Quantify.evaluate_timer ~jobs ~engine:`Fast ~states
-           ~inputs timer
-       in
-       Alcotest.(check bool)
-         (Printf.sprintf "memoized re-evaluation at jobs=%d stable" jobs)
-         true (again = exact))
-    [ 1; 2; 4; 8 ]
+       let cells = List.length states * List.length inputs in
+       List.iter
+         (fun jobs ->
+            let timer = Predictability.Harness.inorder_timer program in
+            let fast =
+              Predictability.Quantify.evaluate_timer ~jobs ~states ~inputs timer
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "fast matrix (%d cells) at jobs=%d equals exact"
+                 cells jobs)
+              true (fast = exact);
+            (* Re-evaluating through the same timer serves memo hits; the
+               matrix must not change. *)
+            let again =
+              Predictability.Quantify.evaluate_timer ~jobs ~states ~inputs timer
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "memoized re-evaluation (%d cells) at jobs=%d stable"
+                 cells jobs)
+              true (again = exact))
+         [ 1; 2; 4; 8 ])
+    [ (Predictability.Harness.inorder_states program w,
+       take 10 w.Isa.Workload.inputs);
+      (big_states, w.Isa.Workload.inputs) ]
 
 let test_quantify_fast_inline_small_matrices () =
-  (* Small matrices stay on the calling domain under `Fast; values must be
-     engine-independent. *)
+  (* A small batched matrix stays on the calling domain; its values must
+     equal the scalar matrix's, which the pool evaluates. *)
   let time q i = (10 * q) + i in
   let states = [ 1; 2; 3 ] in
   let inputs = [ 1; 2; 3; 4 ] in
   let exact = Predictability.Quantify.evaluate ~states ~inputs ~time () in
-  let fast =
-    Predictability.Quantify.evaluate_timer ~engine:`Fast ~states ~inputs
-      (Predictability.Quantify.Scalar time)
+  let batched =
+    Predictability.Quantify.evaluate_timer ~states ~inputs
+      (Predictability.Quantify.Batched
+         { scalar = time; row = (fun q inputs -> Array.map (time q) inputs) })
   in
-  Alcotest.(check bool) "inline fast = exact" true (exact = fast)
+  Alcotest.(check bool) "inline batched = scalar" true (exact = batched)
 
 let test_quantify_batched_validation () =
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
@@ -557,8 +569,8 @@ let test_quantify_batched_validation () =
   in
   Alcotest.(check bool) "wrong row width rejected" true
     (raises (fun () ->
-         Predictability.Quantify.evaluate_timer ~engine:`Fast ~states:[ 0 ]
-           ~inputs:[ 0; 1 ] bad_width));
+         Predictability.Quantify.evaluate_timer ~states:[ 0 ] ~inputs:[ 0; 1 ]
+           bad_width));
   let negative =
     Predictability.Quantify.Batched
       { scalar = (fun _ _ -> -1); row = (fun _ inputs ->
@@ -566,8 +578,38 @@ let test_quantify_batched_validation () =
   in
   Alcotest.(check bool) "non-positive batched cell rejected" true
     (raises (fun () ->
-         Predictability.Quantify.evaluate_timer ~engine:`Fast ~states:[ 0 ]
-           ~inputs:[ 0; 1 ] negative))
+         Predictability.Quantify.evaluate_timer ~states:[ 0 ] ~inputs:[ 0; 1 ]
+           negative))
+
+(* The timer decides where rows run: scalar rows always go to the pool,
+   batched rows stay on the calling domain below Quantify.inline_cells and
+   go to the pool from there on. Each timer call records its domain. *)
+let test_timer_decides_schedule () =
+  let caller = Domain.self () in
+  let mu = Mutex.create () in
+  let seen = ref [] in
+  let record () = Mutex.protect mu (fun () -> seen := Domain.self () :: !seen) in
+  let scalar = Predictability.Quantify.Scalar (fun _ _ -> record (); 1) in
+  let batched =
+    Predictability.Quantify.Batched
+      { scalar = (fun _ _ -> 1);
+        row = (fun _ inputs -> record (); Array.map (fun _ -> 1) inputs) }
+  in
+  (* Two rows at jobs 4, [n] inputs each; returns (calls, calls on caller). *)
+  let run timer n =
+    seen := [];
+    ignore
+      (Predictability.Quantify.evaluate_timer ~jobs:4 ~states:[ 0; 1 ]
+         ~inputs:(List.init n Fun.id) timer);
+    (List.length !seen, List.length (List.filter (( = ) caller) !seen))
+  in
+  let inline_cells = Predictability.Quantify.inline_cells in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "scalar rows all on the pool" (6, 0) (run scalar 3);
+  Alcotest.check pair "small batched rows all on the caller" (2, 2)
+    (run batched ((inline_cells - 1) / 2));
+  Alcotest.check pair "large batched rows all on the pool" (2, 0)
+    (run batched ((inline_cells + 1) / 2))
 
 (* --- Cache_metrics packed exploration ------------------------------------ *)
 
@@ -638,7 +680,9 @@ let () =
          Alcotest.test_case "fast inline small matrices" `Quick
            test_quantify_fast_inline_small_matrices;
          Alcotest.test_case "batched validation" `Quick
-           test_quantify_batched_validation ]);
+           test_quantify_batched_validation;
+         Alcotest.test_case "timer decides the schedule" `Quick
+           test_timer_decides_schedule ]);
       ("cache-metrics",
        [ Alcotest.test_case "packed = generic exploration" `Slow
            test_cache_metrics_engines_agree ]) ]

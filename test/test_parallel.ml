@@ -45,7 +45,25 @@ let test_quantify_exception_through_pool () =
        ignore
          (Predictability.Quantify.evaluate ~jobs:4
             ~states:(List.init 16 Fun.id) ~inputs:[ 0; 1; 2 ]
-            ~time:(fun q i -> if q = 11 && i = 2 then 0 else q + i + 1) ()))
+            ~time:(fun q i -> if q = 11 && i = 2 then 0 else q + i + 1) ()));
+  (* Two rows that reject their time at once: each waits (up to a second)
+     until both have started, so both workers fail, and the caller still
+     gets the documented Invalid_argument, not Multiple_failures. *)
+  let started = Atomic.make 0 in
+  let time _ _ =
+    Atomic.incr started;
+    let deadline = Prelude.Mono.now () +. 1. in
+    while Atomic.get started < 2 && Prelude.Mono.now () < deadline do
+      Domain.cpu_relax ()
+    done;
+    0
+  in
+  Alcotest.check_raises "simultaneous rejections stay Invalid_argument"
+    (Invalid_argument "Quantify.evaluate: execution times must be positive")
+    (fun () ->
+       ignore
+         (Predictability.Quantify.evaluate ~jobs:2 ~states:[ 0; 1 ]
+            ~inputs:[ 0 ] ~time ()))
 
 (* Regression: Parallel calls made from inside pool tasks used to spawn a
    fresh pool per worker, so nesting multiplied live domains (jobs^2 here,
@@ -163,11 +181,19 @@ let test_wcet_bracket_determinism () =
   let sequential_lb =
     Analysis.Wcet.bound (config false) Analysis.Wcet.Lower ~shapes ~entry:"main"
   in
+  (* The walks run on the calling domain whatever the default job count;
+     pin that the count cannot change them. *)
   List.iter
     (fun jobs ->
        let ub, lb =
-         Analysis.Wcet.bracket ~jobs ~upper:(config true) ~lower:(config false)
-           ~shapes ~entry:"main" ()
+         Prelude.Parallel.set_default_jobs jobs;
+         Fun.protect
+           ~finally:(fun () ->
+               Prelude.Parallel.set_default_jobs
+                 (Prelude.Parallel.recommended_jobs ()))
+           (fun () ->
+              Analysis.Wcet.bracket ~upper:(config true) ~lower:(config false)
+                ~shapes ~entry:"main" ())
        in
        Alcotest.(check int) (Printf.sprintf "UB (jobs=%d)" jobs)
          sequential_ub.Analysis.Wcet.bound ub.Analysis.Wcet.bound;
