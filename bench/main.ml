@@ -2,7 +2,8 @@
 
    Part 1 regenerates every table and figure of the paper: Figure 1, the
    Equation-4 series, every row of Tables 1 and 2, the related-work results,
-   and the ablation studies — each printed with its reproduction checks and
+   and the ablation studies — each run under the experiment supervisor, as
+   `predlab all` runs it, and printed with its reproduction checks and
    per-experiment instrumentation (wall clock, Q*I cells, kernel evals).
 
    Part 2 is the Bechamel microbenchmark suite: one [Test.make] per paper
@@ -571,17 +572,24 @@ let kernel_to_json (spec, estimate) =
        | Some ns -> Prelude.Json.Float ns
        | None -> Prelude.Json.Null) ]
 
-(* Schema v2 (v1 + per-kernel "engine"/"jobs"); `predlab compare` accepts
-   both, so v2 trajectory points still diff against the v1 baseline. *)
+(* Schema v2: v1 plus per-kernel "engine"/"jobs", the core count beside
+   the job count, and supervised experiment records (status, attempts,
+   resumed). `predlab compare` reads v1 and v2 on either side, so new
+   trajectory points still diff against the v1 baseline. *)
 let bench_json ~jobs ~elapsed_s ~results ~speedups ~kernels =
   Prelude.Json.Obj
     [ ("schema", Prelude.Json.String "predlab/bench");
       ("version", Prelude.Json.Int 2);
       ("jobs", Prelude.Json.Int jobs);
+      ("nproc", Prelude.Json.Int (Prelude.Parallel.recommended_jobs ()));
       ("elapsed_s", Prelude.Json.Float elapsed_s);
       ("wall_sum_s",
-       Prelude.Json.Float (Predictability.Experiments.wall_sum results));
-      ("experiments", Predictability.Experiments.results_to_json results);
+       Prelude.Json.Float
+         (Predictability.Experiments.supervised_wall_sum results));
+      ("experiments",
+       Prelude.Json.List
+         (List.map Predictability.Experiments.supervised_result_to_json
+            results));
       ("kernels", Prelude.Json.List (List.map kernel_to_json kernels));
       ("speedups", Prelude.Json.List (List.map speedup_to_json speedups)) ]
 
@@ -627,19 +635,18 @@ let () =
   print_string (Predictability.Survey.render Predictability.Survey.table1);
   print_string (Predictability.Survey.render Predictability.Survey.table2);
   print_newline ();
-  let results = Predictability.Experiments.run_all ~jobs () in
+  let results = Predictability.Experiments.run_supervised ~jobs () in
   List.iter
-    (fun { Predictability.Experiments.outcome; timing } ->
-       print_string (Predictability.Report.render outcome);
-       Printf.printf "  [%s]\n" (Predictability.Report.timing_string timing);
+    (fun s ->
+       print_string (Predictability.Experiments.supervised_render s);
+       Printf.printf "  [%s]\n"
+         (Predictability.Report.timing_string
+            s.Predictability.Experiments.s_timing);
        print_newline ())
     results;
   let failed =
-    List.filter
-      (fun r ->
-         not (Predictability.Report.all_passed
-                r.Predictability.Experiments.outcome))
-      results
+    Predictability.Experiments.supervised_failures results
+    @ Predictability.Experiments.supervised_check_failures results
   in
   Printf.printf "Reproduction summary: %d/%d experiments passed all checks\n\n"
     (List.length results - List.length failed)

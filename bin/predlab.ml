@@ -151,20 +151,24 @@ let chaos jobs format plane seed =
             (Serve.Chaos.verdict_to_json verdict)));
     if verdict.Serve.Chaos.violations <> [] then exit 4
 
-(* `stats` keeps the plain unsupervised path (schema v1): it is the cost
-   summary and the ci.sh baseline-compare input, and doubles as coverage
-   that v1 documents stay first-class citizens of the report toolchain.
-   Its exit class is the run op's, read from the same document. *)
+(* `stats` runs the registry under the default supervision, as `all`
+   does, and prints a cost table instead of the reports; with --format
+   json it prints the same v2 document as `all --format json`, which is
+   ci.sh's compare input. The table's totals and the exit class (the run
+   op's) are read from that document; a crashed experiment shows its
+   status in the checks column and exits 3. *)
 let stats jobs format =
   apply_jobs jobs;
-  let results, elapsed_s =
-    Predictability.Harness.elapsed (fun () ->
-        Predictability.Experiments.run_all ~jobs ())
+  let results, doc =
+    Serve.Ops.run_supervised ~jobs
+      ~supervision:Predictability.Experiments.default_supervision
+      Predictability.Experiments.all
   in
-  let doc = Predictability.Experiments.to_json ~jobs ~elapsed_s results in
   (match format with
    | Json -> print_string (Serve.Ops.render Serve.Ops.run doc)
    | Text ->
+     let module E = Predictability.Experiments in
+     let module R = Predictability.Report in
      let table =
        Prelude.Table.make
          ~header:[ "experiment"; "wall s"; "Q*I cells"; "kernel evals";
@@ -172,30 +176,32 @@ let stats jobs format =
      in
      let total_cells = ref 0 and total_evals = ref 0 in
      List.iter
-       (fun { Predictability.Experiments.outcome; timing } ->
-          total_cells := !total_cells + timing.Predictability.Report.cells;
-          total_evals := !total_evals + timing.Predictability.Report.evals;
-          let checks = outcome.Predictability.Report.checks in
-          let passed =
-            List.length
-              (List.filter (fun c -> c.Predictability.Report.passed) checks)
-          in
+       (fun { E.s_id; s_status; s_outcome; s_timing = t; _ } ->
+          total_cells := !total_cells + t.R.cells;
+          total_evals := !total_evals + t.R.evals;
           Prelude.Table.add_row table
-            [ outcome.Predictability.Report.id;
-              Printf.sprintf "%.3f" timing.Predictability.Report.wall_s;
-              string_of_int timing.Predictability.Report.cells;
-              string_of_int timing.Predictability.Report.evals;
-              Printf.sprintf "%d/%d" passed (List.length checks) ])
+            [ s_id; Printf.sprintf "%.3f" t.R.wall_s;
+              string_of_int t.R.cells; string_of_int t.R.evals;
+              (match s_outcome with
+               | Some { R.checks; _ } ->
+                 Printf.sprintf "%d/%d"
+                   (List.length (List.filter (fun c -> c.R.passed) checks))
+                   (List.length checks)
+               | None -> R.status_string s_status) ])
        results;
-     let wall_sum = Predictability.Experiments.wall_sum results in
+     let total name =
+       Printf.sprintf "%.3f"
+         (Option.get
+            (Option.bind (Prelude.Json.member name doc)
+               Prelude.Json.float_value))
+     in
      Prelude.Table.add_separator table;
      (* Two totals on purpose: per-experiment walls overlap under jobs>1, so
         their sum is CPU-time-flavoured; elapsed is the true wall clock. *)
      Prelude.Table.add_row table
-       [ "sum"; Printf.sprintf "%.3f" wall_sum; string_of_int !total_cells;
+       [ "sum"; total "wall_sum_s"; string_of_int !total_cells;
          string_of_int !total_evals; "" ];
-     Prelude.Table.add_row table
-       [ "elapsed"; Printf.sprintf "%.3f" elapsed_s; ""; ""; "" ];
+     Prelude.Table.add_row table [ "elapsed"; total "elapsed_s"; ""; ""; "" ];
      print_string (Prelude.Table.render table);
      Printf.printf
        "sum = per-experiment wall added up (runs overlap under jobs>1); \
@@ -664,10 +670,12 @@ let chaos_cmd =
 let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
-       ~doc:"Run every experiment and print a per-experiment cost summary \
-             (wall-clock, Q*I matrix cells, kernel evaluations). The text \
-             table reports both the sum of per-experiment wall times and \
-             the true elapsed wall clock — they differ under --jobs > 1.")
+       ~doc:"Run every experiment under the supervisor, as $(b,all) \
+             does, and print a per-experiment cost summary (wall-clock, \
+             Q*I matrix cells, kernel evaluations). The text table \
+             reports both the sum of per-experiment wall times and the \
+             true elapsed wall clock — they differ under --jobs > 1. \
+             Exits like $(b,all).")
     Term.(const stats $ jobs_arg $ format_arg)
 
 let compare_cmd =

@@ -40,6 +40,12 @@ if dune exec bin/predlab.exe -- lint --fixture dirty > /dev/null 2>&1; then
   exit 1
 fi
 dune exec bin/predlab.exe -- stats --jobs 2 --format json > _build/current.json
+# `stats` runs under the supervisor: a v2 report with one record per
+# registered experiment, compared here against the v1 baseline.
+grep -q '^  "version": 2,$' _build/current.json
+experiments=$(dune exec bin/predlab.exe -- list | wc -l)
+total=$(sed -n 's/^  "experiments_total": \([0-9]*\),$/\1/p' _build/current.json)
+test "$total" -eq "$experiments"
 dune exec bin/predlab.exe -- compare BENCH_0.json _build/current.json --tolerance 400
 
 # Trajectory gate. Each committed BENCH_<k>.json point (bench/main.exe --json)
@@ -98,7 +104,6 @@ set -e
 test "$status" -eq 3
 grep -q '"status": "crashed"' _build/faulted.json
 # Every experiment but the injected one completed.
-experiments=$(dune exec bin/predlab.exe -- list | wc -l)
 test "$(grep -c '"status":"completed"' _build/ci.jsonl)" -eq "$((experiments - 1))"
 # Resume from that journal with the fault gone: only EQ4 re-runs, the final
 # report is clean, and the journal gains exactly the one re-run line.
@@ -111,8 +116,8 @@ if grep -q '"status": "crashed"' _build/resumed.json; then
   echo "resume left a crashed experiment in the final report" >&2
   exit 1
 fi
-# The v1/v2 schema bridge: the supervised v2 report must still compare
-# cleanly against the v1 baseline.
+# A resumed report, whose records partly come from the journal, must
+# compare as cleanly against the v1 baseline as the `stats` report above.
 dune exec bin/predlab.exe -- compare BENCH_0.json _build/resumed.json --tolerance 400
 # Chaos gate: a seeded fault campaign across the whole registry must degrade
 # gracefully (every failure classified, retries recover transients) or the

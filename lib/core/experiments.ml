@@ -38,11 +38,6 @@ let all =
 
 let ids () = List.map (fun (id, _, _) -> id) all
 
-type result = {
-  outcome : Report.outcome;
-  timing : Report.timing;
-}
-
 let unknown_id_message id =
   Printf.sprintf "unknown experiment %S; valid ids: %s" id
     (String.concat ", " (ids ()))
@@ -56,45 +51,6 @@ let run id =
   match lookup id with
   | Ok (_, _, runner) -> runner ()
   | Error message -> invalid_arg ("Experiments.run: " ^ message)
-
-let result_to_json { outcome; timing } =
-  match Report.outcome_to_json outcome, Report.timing_to_json timing with
-  | Prelude.Json.Obj outcome_fields, Prelude.Json.Obj timing_fields ->
-    Prelude.Json.Obj (outcome_fields @ timing_fields)
-  | _ -> assert false  (* both converters return objects *)
-
-let results_to_json results =
-  Prelude.Json.List (List.map result_to_json results)
-
-let wall_sum results =
-  List.fold_left (fun acc r -> acc +. r.timing.Report.wall_s) 0. results
-
-let to_json ~jobs ~elapsed_s results =
-  let failed =
-    List.filter (fun r -> not (Report.all_passed r.outcome)) results
-  in
-  Prelude.Json.Obj
-    [ ("schema", Prelude.Json.String "predlab/report");
-      ("version", Prelude.Json.Int 1);
-      ("jobs", Prelude.Json.Int jobs);
-      ("elapsed_s", Prelude.Json.Float elapsed_s);
-      ("wall_sum_s", Prelude.Json.Float (wall_sum results));
-      ("experiments_passed",
-       Prelude.Json.Int (List.length results - List.length failed));
-      ("experiments_total", Prelude.Json.Int (List.length results));
-      ("experiments", results_to_json results) ]
-
-(* Experiments are independent (no toplevel mutable state anywhere in lib/);
-   fan them out across the domain pool. Parallel.map keeps registry order,
-   and Harness.timed uses domain-local counters, so both the outcomes and
-   the per-experiment instrumentation are identical for any job count
-   (modulo wall-clock). *)
-let run_all ?jobs () =
-  Prelude.Parallel.map ?jobs
-    (fun (_, _, runner) ->
-       let outcome, timing = Harness.timed runner in
-       { outcome; timing })
-    all
 
 (* --- Fault-tolerant supervision ---------------------------------------- *)
 
@@ -237,6 +193,11 @@ let run_supervised ?jobs ?(supervision = default_supervision) ?journal
   in
   let writer = Option.map Journal.create journal in
   let finish () = Option.iter Journal.close writer in
+  (* Experiments are independent (no toplevel mutable state anywhere in
+     lib/), so they fan out across the domain pool. map_result keeps entry
+     order and Harness.try_timed reads domain-local counter deltas, so the
+     outcomes and the per-experiment instrumentation are the same for any
+     job count (modulo wall clock). *)
   let fresh =
     Fun.protect ~finally:finish (fun () ->
         Prelude.Parallel.map_result ?jobs (supervise ~supervision ~writer)

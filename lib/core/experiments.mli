@@ -6,11 +6,6 @@ val all : (string * string * (unit -> Report.outcome)) list
 
 val ids : unit -> string list
 
-type result = {
-  outcome : Report.outcome;
-  timing : Report.timing;  (** wall clock + work counters for this run *)
-}
-
 val lookup :
   string -> (string * string * (unit -> Report.outcome), string) Stdlib.result
 (** [Ok (id, title, runner)] for a registered id, [Error message] naming
@@ -21,38 +16,12 @@ val run : string -> Report.outcome
 (** @raise Invalid_argument for an unknown id, naming it and the valid
     ids. *)
 
-val result_to_json : result -> Prelude.Json.t
-(** One flat object per experiment: {!Report.outcome_to_json}'s fields
-    merged with {!Report.timing_to_json}'s ([id], [title], [checks],
-    [checks_passed], [checks_total], [wall_s], [cells], [evals]). *)
+(** {2 Supervised runs}
 
-val results_to_json : result list -> Prelude.Json.t
-(** Array of {!result_to_json} objects, in registry order. *)
-
-val wall_sum : result list -> float
-(** Sum of per-experiment [wall_s]. Under [jobs > 1] experiments overlap,
-    so this is CPU-time-flavoured and exceeds true elapsed wall clock —
-    report it alongside, never instead of, elapsed time. *)
-
-val to_json : jobs:int -> elapsed_s:float -> result list -> Prelude.Json.t
-(** The full machine-readable report document ([schema "predlab/report"],
-    [version 1]): job count, true elapsed wall clock, {!wall_sum},
-    pass counts, and the per-experiment array. This is what
-    [predlab all/stats --format json] print and what [predlab compare]
-    consumes. *)
-
-val run_all : ?jobs:int -> unit -> result list
-(** Run every experiment, fanned out over [jobs] worker domains (default
-    {!Prelude.Parallel.default_jobs}); results are in registry order and
-    outcomes are bit-identical for any job count.
-
-    No supervision: a raising runner propagates (after the pool drains).
-    The CLI front ends use {!run_supervised} instead. *)
-
-(** {2 Fault-tolerant supervision}
-
-    {!run_supervised} is {!run_all} hardened against the lab's own sources
-    of uncertainty: a raising, hanging or injected-fault experiment is
+    {!run_supervised} is the one registry runner: [predlab run], [all],
+    [stats] and [chaos], the daemon's [run] op and the bench all go
+    through it. It is hardened against the lab's own sources of
+    uncertainty: a raising, hanging or injected-fault experiment is
     isolated to its own registry slot, classified
     ({!Report.Crashed}/{!Report.Timed_out}), optionally retried with
     bounded backoff, journaled for crash-safe resume — and the other
@@ -87,13 +56,16 @@ val run_supervised :
   ?jobs:int -> ?supervision:supervision -> ?journal:string ->
   ?resume:bool -> ?entries:(string * string * (unit -> Report.outcome)) list ->
   unit -> supervised list
-(** Run [entries] (default: the full registry) under supervision: exactly
-    one record per entry, in entry order, whatever the runners do. Each
-    runner passes through the ["experiment:<id>"] {!Prelude.Faults} site
-    once per attempt. With [~journal:FILE], every verdict is appended to
-    the crash-safe journal as it happens; with [~resume:true] (requires
-    [~journal]) ids whose last journal line is [Completed] are not re-run
-    but reconstructed from the journal ([s_resumed = true]).
+(** Run [entries] (default: the full registry) under supervision, fanned
+    out over [jobs] worker domains (default
+    {!Prelude.Parallel.default_jobs}): exactly one record per entry, in
+    entry order, whatever the runners do, with outcomes bit-identical for
+    any job count. Each runner passes through the ["experiment:<id>"]
+    {!Prelude.Faults} site once per attempt. With [~journal:FILE], every
+    verdict is appended to the crash-safe journal as it happens; with
+    [~resume:true] (requires [~journal]) ids whose last journal line is
+    [Completed] are not re-run but reconstructed from the journal
+    ([s_resumed = true]).
     @raise Invalid_argument on a negative retry/backoff, a non-positive
     deadline, [resume] without [journal], or an unreadable journal. *)
 
@@ -104,18 +76,25 @@ val supervised_check_failures : supervised list -> supervised list
 (** Completed records with at least one failing check — exit 1. *)
 
 val supervised_wall_sum : supervised list -> float
-(** {!wall_sum} over supervised records. *)
+(** Sum of per-record [wall_s]. Under [jobs > 1] experiments overlap, so
+    this is CPU-time-flavoured and exceeds true elapsed wall clock —
+    report it alongside, never instead of, elapsed time. *)
 
 val supervised_result_to_json : supervised -> Prelude.Json.t
-(** One flat v2 experiment object: the v1 fields plus ["status"] (and its
-    ["error"]/["after_s"] detail), ["attempts"], ["resumed"]. *)
+(** One flat v2 experiment object: [id], [title], ["status"] (and its
+    ["error"]/["after_s"] detail), ["attempts"], ["resumed"], [checks],
+    [checks_passed], [checks_total], then {!Report.timing_to_json}'s
+    [wall_s], [cells] and [evals]. *)
 
 val supervised_to_json :
   jobs:int -> elapsed_s:float -> supervised list -> Prelude.Json.t
 (** The schema v2 report document ([schema "predlab/report"],
-    [version 2]): the v1 summary fields plus [completed]/[crashed]/
-    [timed_out]/[retried] counts. [Regression.compare] accepts v1 and v2
-    on either side. *)
+    [version 2]) that [predlab run/all/stats --format json] print: job
+    count, true elapsed wall clock, {!supervised_wall_sum}, pass counts,
+    [completed]/[crashed]/[timed_out]/[retried] counts and the
+    per-experiment array. {!Regression.compare_reports} also still reads
+    the older v1 documents (no supervision fields), such as the committed
+    [BENCH_0.json] baseline. *)
 
 val supervised_render : supervised -> string
 (** Text rendering: {!Report.render} (with retry/resume notes) for

@@ -58,30 +58,19 @@ let ratio_string r =
   Printf.sprintf "%s (%.3f)" (Prelude.Ratio.to_string r) (Prelude.Ratio.to_float r)
 
 (* True elapsed wall clock around a whole run. Distinct from summing the
-   per-experiment wall_s of [timed]: under jobs>1 experiments overlap, so
-   the sum is CPU-time-flavoured and exceeds this. *)
+   per-experiment wall_s of [try_timed]: under jobs>1 experiments overlap,
+   so the sum is CPU-time-flavoured and exceeds this. *)
 let elapsed f =
   let started = Prelude.Instrument.now () in
   let v = f () in
   (v, Prelude.Instrument.now () -. started)
 
-(* Counter deltas, not reset-then-snapshot: resetting would wipe counts a
-   pool worker domain has accumulated for other tasks and leave a residue
-   behind that Pool.drain would credit to the caller a second time. *)
-let timed f =
-  let before = Prelude.Instrument.snapshot () in
-  let started = Prelude.Instrument.now () in
-  let v = f () in
-  let wall_s = Prelude.Instrument.now () -. started in
-  let after = Prelude.Instrument.snapshot () in
-  (v,
-   { Report.wall_s;
-     cells = after.Prelude.Instrument.cells - before.Prelude.Instrument.cells;
-     evals = after.Prelude.Instrument.evals - before.Prelude.Instrument.evals })
-
-(* [timed] for code that may raise: the timing bracket closes either way,
-   so a crashed experiment attempt still gets wall-clock and counter deltas
-   attributed (the supervisor reports how long a failure took to happen). *)
+(* Run [f] with its wall clock and the calling domain's counter deltas
+   bracketed; the bracket closes on the error path too, so a crashed
+   experiment attempt still reports how long it took to fail. Deltas, not
+   reset-then-snapshot: resetting would wipe counts a pool worker domain
+   has accumulated for other tasks and leave a residue behind that
+   Pool.drain would credit to the caller a second time. *)
 let try_timed f =
   let before = Prelude.Instrument.snapshot () in
   let started = Prelude.Instrument.now () in

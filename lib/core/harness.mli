@@ -48,20 +48,17 @@ val ratio_string : Prelude.Ratio.t -> string
 
 val elapsed : (unit -> 'a) -> 'a * float
 (** [f ()] and the true elapsed wall-clock seconds around it. Not the same
-    quantity as summing {!timed} [wall_s] over experiments: when runs
+    quantity as summing {!try_timed} [wall_s] over experiments: when runs
     overlap on worker domains the sum double-counts overlapped time, while
     this measures once, end to end. *)
-
-val timed : (unit -> 'a) -> 'a * Report.timing
-(** Run a thunk with instrumentation: wall-clock time plus the deltas of
-    the calling domain's {!Prelude.Instrument} counters across the call.
-    Parallel kernels credit their sweeps to the calling domain, so this
-    attributes correctly even when [f] fans out internally. *)
 
 val try_timed :
   (unit -> 'a) ->
   ('a, exn * Printexc.raw_backtrace) Stdlib.result * Report.timing
-(** {!timed} for code that may raise: the bracket closes on the error path
-    too, so a crashed or timed-out experiment attempt still reports how
-    much wall clock and counter work it burned before failing. Never
-    raises (from [f]'s exceptions). *)
+(** Run a thunk with instrumentation: wall-clock time plus the deltas of
+    the calling domain's {!Prelude.Instrument} counters across the call.
+    Parallel kernels credit their sweeps to the calling domain, so this
+    attributes correctly even when [f] fans out internally. The bracket
+    closes on the error path too, so a crashed or timed-out experiment
+    attempt still reports how much wall clock and counter work it burned
+    before failing. Never raises (from [f]'s exceptions). *)

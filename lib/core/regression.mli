@@ -3,12 +3,14 @@
     trajectory point, or [predlab --format json] output) and flag anything
     that got worse.
 
-    Both report schema versions are accepted on either side: v1 (plain
-    [Experiments.to_json] results) and v2 ([Experiments.supervised_to_json],
-    with per-experiment supervision status); any other [version] is a
-    schema finding. A v2 experiment that crashed or timed out while its
-    baseline counterpart completed is a check regression even before its
-    (empty) check list is compared.
+    Both report schema versions are accepted on either side: v2
+    ([Experiments.supervised_to_json], with per-experiment supervision
+    status — what every writer emits) and v1 (the older unsupervised
+    records, as in the committed [BENCH_0.json]–[BENCH_5.json] points,
+    read as completed); any other [version] is a schema finding. A v2
+    experiment that crashed or timed out while its baseline counterpart
+    completed is a check regression even before its (empty) check list is
+    compared.
 
     Gated conditions, per experiment paired by [id]:
     - {e check regressions} — a reproduction check that passed in the

@@ -19,8 +19,8 @@ type timing = {
   cells : int;     (** [Q * I] matrix cells materialised *)
   evals : int;     (** kernel evaluations: [T_p(q,i)] calls, states explored *)
 }
-(** Per-experiment instrumentation, recorded by {!Experiments.run_all} /
-    {!Experiments.run_supervised} around each runner. *)
+(** Per-experiment instrumentation, recorded by
+    {!Experiments.run_supervised} around each runner attempt. *)
 
 type status =
   | Completed  (** the runner returned an outcome (checks may still fail) *)

@@ -25,7 +25,7 @@ let resolve_jobs = function
    slot of the width the caller asked for, so any Parallel call it makes
    runs sequentially in place instead of spawning a nested pool: live
    domains stay bounded by [jobs + 1] no matter how deeply the hot paths
-   nest (run_all -> exp_atlas -> Quantify.evaluate), well clear of the
+   nest (run_supervised -> exp_atlas -> Quantify.evaluate), well clear of the
    OCaml runtime's total-domain cap, and cores are never oversubscribed. *)
 let on_worker = Domain.DLS.new_key (fun () -> false)
 
@@ -104,7 +104,7 @@ module Pool = struct
     Domain.DLS.set on_worker true;
     work_loop t;
     (* Worker domains start with zero counters and nothing on this domain
-       ever resets them (Harness.timed only reads deltas), so the final
+       ever resets them (Harness.try_timed only reads deltas), so the final
        snapshot is exactly the work this pool's tasks did here. *)
     let counts = Instrument.snapshot () in
     ignore (Atomic.fetch_and_add t.worker_evals counts.Instrument.evals);
@@ -179,7 +179,8 @@ let () =
    slice becomes one pool task. Every failure that occurs is collected (new
    work stops being started after the first); a single failure re-raises
    transparently, several raise [Multiple_failures] carrying the count and
-   the earliest-recorded exception. *)
+   the earliest-recorded exception. This is the only code that creates,
+   feeds and drains a [Pool]: every entry point below comes through it. *)
 let run_tasks ~jobs ~count body =
   if count > 0 then begin
     let sequential () =
@@ -255,8 +256,9 @@ type task_error = {
 (* Run one isolated task: arm the cooperative deadline for this domain,
    pass through the "parallel.task" fault site, and catch everything —
    [with_deadline] adds the post-hoc overrun check for tasks that ran past
-   their budget without reaching a checkpoint. Never raises. *)
-let guarded ~deadline_s f x index =
+   their budget without reaching a checkpoint. Never raises, so [map] over
+   guarded tasks keeps every task's verdict and never cuts a batch short. *)
+let guarded ~deadline_s f (index, x) =
   let body () =
     Faults.point "parallel.task";
     f x
@@ -271,33 +273,10 @@ let guarded ~deadline_s f x index =
     Error { index; exn; backtrace = Printexc.get_raw_backtrace () }
 
 let map_result ?jobs ?deadline_s f xs =
-  let jobs = resolve_jobs jobs in
   (match deadline_s with
    | Some d when d <= 0. -> invalid_arg "Parallel.map_result: deadline must be > 0"
    | _ -> ());
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let results = Array.make n None in
-  let task i = results.(i) <- Some (guarded ~deadline_s f arr.(i) i) in
-  if n > 0 then begin
-    if jobs <= 1 || n = 1 || Domain.DLS.get on_worker then
-      for i = 0 to n - 1 do task i done
-    else begin
-      let pool = Pool.create (Stdlib.min jobs n) in
-      if Pool.width pool = 0 then begin
-        Pool.drain pool;
-        for i = 0 to n - 1 do task i done
-      end
-      else begin
-        for i = 0 to n - 1 do
-          Pool.submit pool (fun () -> task i)
-        done;
-        Pool.drain pool
-      end
-    end
-  end;
-  Array.to_list
-    (Array.map (function Some r -> r | None -> assert false) results)
+  map ?jobs (guarded ~deadline_s f) (List.mapi (fun i x -> (i, x)) xs)
 
 let fold ?jobs ?(chunk = 16) ~map:fm ~combine ~init items =
   let chunk = Stdlib.max 1 chunk in

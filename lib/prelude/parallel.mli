@@ -91,15 +91,17 @@ type task_error = {
 val map_result :
   ?jobs:int -> ?deadline_s:float -> ('a -> 'b) -> 'a list ->
   ('b, task_error) Stdlib.result list
-(** Per-task isolation: like {!map}, but a raising task yields
-    [Error { index; exn; backtrace }] at its input position instead of
-    poisoning the whole batch — every other task still runs and returns
-    [Ok]. With [?deadline_s], each task gets that cooperative budget
-    (measured from the moment the task starts running, not from
-    submission): an overrun detected at a {!check_deadline} checkpoint or
-    when the task returns yields [Error] with {!Deadline_exceeded}.
-    Results are in input order for any [jobs]. Tasks pass through the
-    ["parallel.task"] {!Faults} site.
+(** Per-task isolation: {!map} over tasks that catch their own failure,
+    so a raising task yields [Error { index; exn; backtrace }] at its
+    input position instead of poisoning the whole batch — every other
+    task still runs and returns [Ok]. With [?deadline_s], each task gets
+    that cooperative budget (measured from the moment the task starts
+    running, not from submission): an overrun detected at a
+    {!check_deadline} checkpoint or when the task returns yields [Error]
+    with {!Deadline_exceeded}. Results are in input order for any [jobs],
+    and the pool, its width degradation, nested-call inlining and counter
+    crediting are {!map}'s. Tasks pass through the ["parallel.task"]
+    {!Faults} site.
     @raise Invalid_argument if [deadline_s <= 0]. *)
 
 val fold :

@@ -3,6 +3,7 @@ module Lineio = Prelude.Lineio
 type t = {
   fd : Unix.file_descr;
   reader : Lineio.reader;
+  closed : bool Atomic.t;
 }
 
 type error =
@@ -20,7 +21,10 @@ let connect ?(retry_for_s = 0.) ?max_frame path =
   let attempt () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> Ok { fd; reader = Lineio.reader ?max_line:max_frame fd }
+    | () ->
+      Ok
+        { fd; reader = Lineio.reader ?max_line:max_frame fd;
+          closed = Atomic.make false }
     | exception exn ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error exn
@@ -70,5 +74,8 @@ let request ?timeout_s t json =
          | Error (Timeout _) -> Error (Timeout budget)
          | other -> other)
 
+(* Close at most once: after the first close the kernel may hand the same
+   descriptor number to another socket, which a second close would shut. *)
 let close t =
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+  if Atomic.compare_and_set t.closed false true then
+    try Unix.close t.fd with Unix.Unix_error _ -> ()

@@ -43,3 +43,6 @@ val recv : ?timeout_s:float -> t -> (Prelude.Json.t, error) result
 (** Read and parse the next response line. *)
 
 val close : t -> unit
+(** Close the connection. Idempotent: only the first call closes the
+    descriptor, so a later call cannot close a socket that has since been
+    given the same descriptor number. *)

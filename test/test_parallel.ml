@@ -1,7 +1,7 @@
 (* Tests for the parallel T_p(q,i) evaluation engine: Parallel.map/fold
    semantics, exception propagation out of worker domains, and bit-identical
    results at any job count for the quantities built on top of it
-   (Quantify, Cache_metrics, Experiments.run_all). *)
+   (Quantify, Cache_metrics, Experiments.run_supervised). *)
 
 let prop_map_matches_list_map =
   QCheck.Test.make ~name:"Parallel.map ~jobs f = List.map f" ~count:60
@@ -67,7 +67,7 @@ let test_quantify_exception_through_pool () =
 
 (* Regression: Parallel calls made from inside pool tasks used to spawn a
    fresh pool per worker, so nesting multiplied live domains (jobs^2 here,
-   jobs^3 via run_all -> exp_atlas -> Quantify.evaluate) straight past the
+   jobs^3 via run_supervised -> exp_atlas -> Quantify.evaluate) past the
    OCaml runtime's ~128-domain cap, killing the run with Domain.spawn
    failures. Nested calls now run sequentially on the worker, so this holds
    total domains at [jobs] while still returning List.map-identical
@@ -234,8 +234,11 @@ let test_superscalar_signatures_deterministic () =
 let test_run_all_bit_identical () =
   let outcomes jobs =
     List.map
-      (fun r -> r.Predictability.Experiments.outcome)
-      (Predictability.Experiments.run_all ~jobs ())
+      (fun s ->
+         match s.Predictability.Experiments.s_outcome with
+         | Some outcome -> outcome
+         | None -> Alcotest.failf "%s did not complete" s.s_id)
+      (Predictability.Experiments.run_supervised ~jobs ())
   in
   let sequential = outcomes 1 in
   let parallel = outcomes 4 in
@@ -253,7 +256,7 @@ let test_instrument_attribution () =
   let states = List.init 6 Fun.id and inputs = List.init 9 Fun.id in
   let run jobs =
     let _, timing =
-      Predictability.Harness.timed (fun () ->
+      Predictability.Harness.try_timed (fun () ->
           Predictability.Quantify.evaluate ~jobs ~states ~inputs
             ~time:(fun q i -> q + i + 1) ())
     in

@@ -1,7 +1,7 @@
 (* Tests for the machine-readable report layer: Report/Experiments JSON
-   conversion, the full `predlab all --format json` document round trip,
-   and the `predlab compare` regression gate (identical inputs pass;
-   injected slowdowns and check regressions are flagged). *)
+   conversion, the full `predlab all --format json` (schema v2) document
+   round trip, and the `predlab compare` regression gate (identical inputs
+   pass; injected slowdowns and check regressions are flagged). *)
 
 let string_contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -20,17 +20,23 @@ module Regression = Predictability.Regression
 (* --- Fabricated results (no experiment run needed). -------------------- *)
 
 let result ~id ~wall_s ~checks =
-  { Experiments.outcome =
-      { Report.id; title = "synthetic " ^ id; body = "body\n";
-        checks = List.map (fun (label, passed) -> Report.check label passed)
-            checks };
-    timing = { Report.wall_s; cells = 100; evals = 200 } }
+  let title = "synthetic " ^ id in
+  { Experiments.s_id = id; s_title = title; s_status = Report.Completed;
+    s_attempts = 1; s_resumed = false;
+    s_outcome =
+      Some
+        { Report.id; title; body = "body\n";
+          checks =
+            List.map (fun (label, passed) -> Report.check label passed)
+              checks };
+    s_timing = { Report.wall_s; cells = 100; evals = 200 } }
 
 let sample_results =
   [ result ~id:"A" ~wall_s:0.5 ~checks:[ ("a1", true); ("a2", true) ];
     result ~id:"B" ~wall_s:2.0 ~checks:[ ("b1", true) ] ]
 
-let sample_doc = Experiments.to_json ~jobs:4 ~elapsed_s:1.25 sample_results
+let sample_doc =
+  Experiments.supervised_to_json ~jobs:4 ~elapsed_s:1.25 sample_results
 
 (* --- Report/Experiments -> JSON ---------------------------------------- *)
 
@@ -67,7 +73,9 @@ let test_timing_to_json () =
    the old text table presented only the sum, as if it were wall clock. *)
 let test_wall_sum_vs_elapsed () =
   Alcotest.(check (float 1e-9)) "wall_sum sums per-experiment walls" 2.5
-    (Experiments.wall_sum sample_results);
+    (Experiments.supervised_wall_sum sample_results);
+  Alcotest.(check (option int)) "v2 document" (Some 2)
+    (Option.bind (Json.member "version" sample_doc) Json.int_value);
   Alcotest.(check (option (float 1e-9))) "wall_sum_s in document" (Some 2.5)
     (Option.bind (Json.member "wall_sum_s" sample_doc) Json.float_value);
   Alcotest.(check (option (float 1e-9)))
@@ -80,10 +88,12 @@ let test_wall_sum_vs_elapsed () =
 
 let test_all_format_json_round_trip () =
   let results, elapsed_s =
-    Predictability.Harness.elapsed (fun () -> Experiments.run_all ())
+    Predictability.Harness.elapsed (fun () -> Experiments.run_supervised ())
   in
-  let doc = Experiments.to_json ~jobs:(Prelude.Parallel.default_jobs ())
-      ~elapsed_s results in
+  let doc =
+    Experiments.supervised_to_json ~jobs:(Prelude.Parallel.default_jobs ())
+      ~elapsed_s results
+  in
   (* One well-formed document... *)
   let reparsed = Json.parse_exn (Json.to_string doc) in
   Alcotest.(check bool) "compact round trip is lossless" true
@@ -110,7 +120,8 @@ let test_all_format_json_round_trip () =
                  field)
               true
               (Json.member field e <> None))
-         [ "title"; "checks"; "wall_s"; "cells"; "evals" ])
+         [ "title"; "status"; "attempts"; "resumed"; "checks"; "wall_s";
+           "cells"; "evals" ])
     exps
 
 (* --- The compare gate. -------------------------------------------------- *)
@@ -125,7 +136,7 @@ let test_compare_identical_passes () =
 
 let test_compare_flags_slowdown () =
   let slow =
-    Experiments.to_json ~jobs:4 ~elapsed_s:2.5
+    Experiments.supervised_to_json ~jobs:4 ~elapsed_s:2.5
       [ result ~id:"A" ~wall_s:1.0 ~checks:[ ("a1", true); ("a2", true) ];
         result ~id:"B" ~wall_s:2.0 ~checks:[ ("b1", true) ] ]
   in
@@ -143,7 +154,7 @@ let test_compare_flags_slowdown () =
 
 let test_compare_flags_check_regression () =
   let broken =
-    Experiments.to_json ~jobs:4 ~elapsed_s:1.25
+    Experiments.supervised_to_json ~jobs:4 ~elapsed_s:1.25
       [ result ~id:"A" ~wall_s:0.5 ~checks:[ ("a1", true); ("a2", false) ];
         result ~id:"B" ~wall_s:2.0 ~checks:[ ("b1", true) ] ]
   in
@@ -157,7 +168,7 @@ let test_compare_flags_check_regression () =
 
 let test_compare_flags_missing_experiment () =
   let shrunk =
-    Experiments.to_json ~jobs:4 ~elapsed_s:0.5
+    Experiments.supervised_to_json ~jobs:4 ~elapsed_s:0.5
       [ result ~id:"A" ~wall_s:0.5 ~checks:[ ("a1", true); ("a2", true) ] ]
   in
   Alcotest.(check bool) "missing experiment flagged" true
@@ -168,11 +179,11 @@ let test_compare_noise_floor () =
   (* Sub-10ms baselines never arm the slowdown gate: scheduler jitter on a
      1ms experiment is not a perf regression. *)
   let base =
-    Experiments.to_json ~jobs:1 ~elapsed_s:0.001
+    Experiments.supervised_to_json ~jobs:1 ~elapsed_s:0.001
       [ result ~id:"A" ~wall_s:0.001 ~checks:[ ("a1", true) ] ]
   in
   let jittery =
-    Experiments.to_json ~jobs:1 ~elapsed_s:0.009
+    Experiments.supervised_to_json ~jobs:1 ~elapsed_s:0.009
       [ result ~id:"A" ~wall_s:0.009 ~checks:[ ("a1", true) ] ]
   in
   Alcotest.(check int) "9x on a 1ms experiment is noise" 0

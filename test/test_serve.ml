@@ -467,6 +467,36 @@ let test_malformed_line_keeps_connection () =
            Alcotest.(check bool) "connection survived the bad line" true
              (int_field "served" (result_of second) >= 0)))
 
+(* A second Client.close must not close whatever socket got the client's
+   descriptor number in between (POSIX hands out the lowest free number).
+   A bare listening socket stands in for the daemon, so nothing else
+   allocates descriptors between the two closes. *)
+let test_client_close_spares_reused_fd () =
+  let socket = temp_socket () in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+        Unix.close listener;
+        try Sys.remove socket with Sys_error _ -> ())
+    (fun () ->
+       Unix.bind listener (Unix.ADDR_UNIX socket);
+       Unix.listen listener 1;
+       match Client.connect socket with
+       | Error message -> Alcotest.failf "cannot connect: %s" message
+       | Ok client ->
+         Client.close client;
+         let fresh = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+         Fun.protect
+           ~finally:(fun () ->
+               try Unix.close fresh with Unix.Unix_error _ -> ())
+           (fun () ->
+              Client.close client;
+              match Unix.fstat fresh with
+              | _ -> ()
+              | exception Unix.Unix_error (error, _, _) ->
+                Alcotest.failf "second close shut the new socket: %s"
+                  (Unix.error_message error)))
+
 let test_unknown_workload_is_request_error () =
   with_daemon (fun _socket client ->
       let response =
@@ -765,6 +795,8 @@ let () =
       ("robustness",
        [ Alcotest.test_case "malformed line keeps the connection" `Quick
            test_malformed_line_keeps_connection;
+         Alcotest.test_case "client close spares a reused descriptor" `Quick
+           test_client_close_spares_reused_fd;
          Alcotest.test_case "unknown workload is a request error" `Quick
            test_unknown_workload_is_request_error;
          Alcotest.test_case "unknown name is a usage error" `Quick
