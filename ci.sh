@@ -70,6 +70,16 @@ done
 # kernels must still run.
 dune exec bin/predlab.exe -- run DEF.SAMPLE --jobs 2
 dune exec bin/predlab.exe -- sample --check --jobs 2 clamp popcount
+# Cross-jobs identity end to end: at a fixed seed the CLI's sample document
+# over the whole registry is the same bytes at --jobs 1 and --jobs 2, once
+# the report's own top-level "jobs" echo is removed.
+for jobs in 1 2; do
+  dune exec bin/predlab.exe -- sample --format json --seed 3 --jobs "$jobs" \
+    > "_build/sample-seed3-$jobs.raw"
+  sed '/^  "jobs": [0-9]*,$/d' "_build/sample-seed3-$jobs.raw" \
+    > "_build/sample-seed3-$jobs.json"
+done
+cmp _build/sample-seed3-1.json _build/sample-seed3-2.json
 dune exec bench/main.exe -- --only DEF.SAMPLE
 
 # Certifier gates. DEF.CERT is the oracle that lets a static certificate

@@ -14,21 +14,38 @@ type prepared = {
   pred_w : Branchpred.Predictor.replay;
   pure : bool array;
   ctx : string;
-  skey : string;
 }
 
 (* Per-domain single-entry interning for scalar [time] calls: sweeps pass
    the same state along a row and often the same input repeatedly, so a
-   physical-equality hit skips re-packing the state (prepare) and
-   re-marshalling the input (trace keying). Domain-local by construction —
-   prepared working arrays are mutated during a cell, so they must never be
-   shared across domains. *)
-type scratch = {
+   physical-equality hit skips re-packing the state (state key, prepare)
+   and re-marshalling the input (trace keying). Domain-local by
+   construction — prepared working arrays are mutated during a cell, so
+   they must never be shared across domains.
+
+   There is one slot per domain, under one module-level key, whatever the
+   number of engines: OCaml never frees a domain-local key, so a key per
+   engine would keep every engine's last state, prepared context and trace
+   reachable from every long-lived domain for the life of the process. The
+   slot names the engine it serves by [id] rather than holding it, and is
+   cleared when another engine takes it over, so all it ever retains is
+   the last cell's state, input and their derived data. *)
+type slot = {
+  mutable owner : int;
   mutable s_state : Pipeline.Inorder.state option;
+  mutable s_skey : string;
   mutable s_prep : prepared option;
   mutable s_input : Isa.Exec.input option;
   mutable s_trace : Trace.compiled option;
 }
+
+let empty_slot () =
+  { owner = -1; s_state = None; s_skey = ""; s_prep = None; s_input = None;
+    s_trace = None }
+
+let slot = Domain.DLS.new_key empty_slot
+
+let next_id = Atomic.make 0
 
 (* The memo table, optionally size-bounded for resident use (the serve
    daemon): [order] remembers insertion order and the oldest entries are
@@ -43,6 +60,7 @@ type memo_table = {
 }
 
 type t = {
+  id : int;
   program : Isa.Program.t;
   digest : int;
   cfg : Dataflow.Cfg.t;
@@ -51,7 +69,6 @@ type t = {
   summaries : (string, Summary.t) Hashtbl.t;
   classes : (Classify.features, bool array) Hashtbl.t;
   mutable interned : (Isa.Exec.input array * Trace.compiled array) option;
-  scratch : scratch Domain.DLS.key;
   mu : Mutex.t;
 }
 
@@ -60,7 +77,8 @@ let create ?(memo = true) ?memo_bound program =
    | Some b when b < 1 ->
      invalid_arg "Fastpath.Engine.create: memo_bound must be >= 1"
    | _ -> ());
-  { program;
+  { id = Atomic.fetch_and_add next_id 1;
+    program;
     digest = Isa.Program.digest program;
     cfg = Dataflow.Cfg.build program;
     memo =
@@ -73,9 +91,6 @@ let create ?(memo = true) ?memo_bound program =
     summaries = Hashtbl.create 64;
     classes = Hashtbl.create 8;
     interned = None;
-    scratch =
-      Domain.DLS.new_key (fun () ->
-          { s_state = None; s_prep = None; s_input = None; s_trace = None });
     mu = Mutex.create () }
 
 let memoized t = t.memo <> None
@@ -175,8 +190,7 @@ let prepare t (st : Pipeline.Inorder.state) =
     dmem_w = level_copy dmem_t;
     pred_w = Branchpred.Predictor.replay_copy pred_t;
     pure = pure_for t (Classify.features st);
-    ctx = Summary.context_key st;
-    skey = state_key t st }
+    ctx = Summary.context_key st }
 
 (* The residual interpreter: summaries skip context-free runs, everything
    else steps the packed machine state cycle-accurately, mirroring
@@ -230,35 +244,44 @@ let memo_insert m key v =
       done
   end
 
-let cell t p st tr =
-  match t.memo with
-  | None ->
+(* One cell through the memo: the memo is consulted on [skey] (the packed
+   state) before [prep] runs, so a hit never pays for packing the replay
+   state; a miss prepares it (once per row or slot) and replays. *)
+let cell t ~skey ~prep st tr =
+  let replay () =
+    let p = prep () in
     let sum = summary_for t ~ctx:p.ctx ~pure:p.pure st tr in
     run_cell p sum tr
+  in
+  match t.memo with
+  | None -> replay ()
   | Some memo -> (
-      let key = p.skey ^ "#" ^ tr.Trace.key in
+      let key = skey ^ "#" ^ tr.Trace.key in
       match with_lock t (fun () -> Hashtbl.find_opt memo.cells key) with
       | Some v ->
         Prelude.Instrument.add_memo_hits 1;
         v
       | None ->
         Prelude.Instrument.add_memo_misses 1;
-        let sum = summary_for t ~ctx:p.ctx ~pure:p.pure st tr in
-        let v = run_cell p sum tr in
+        let v = replay () in
         with_lock t (fun () -> memo_insert memo key v);
         v)
 
 let time t st input =
-  let s = Domain.DLS.get t.scratch in
-  let p =
-    match s.s_state, s.s_prep with
-    | Some st', Some p when st' == st -> p
-    | _ ->
-      let p = prepare t st in
-      s.s_state <- Some st;
-      s.s_prep <- Some p;
-      p
-  in
+  let s = Domain.DLS.get slot in
+  if s.owner <> t.id then begin
+    s.owner <- t.id;
+    s.s_state <- None;
+    s.s_input <- None;
+    s.s_trace <- None
+  end;
+  (match s.s_state with
+   | Some st' when st' == st -> ()
+   | _ ->
+     let skey = state_key t st in
+     s.s_state <- Some st;
+     s.s_skey <- skey;
+     s.s_prep <- None);
   let tr =
     match s.s_input, s.s_trace with
     | Some i', Some tr when i' == input -> tr
@@ -268,7 +291,15 @@ let time t st input =
       s.s_trace <- Some tr;
       tr
   in
-  cell t p st tr
+  let prep () =
+    match s.s_prep with
+    | Some p -> p
+    | None ->
+      let p = prepare t st in
+      s.s_prep <- Some p;
+      p
+  in
+  cell t ~skey:s.s_skey ~prep st tr
 
 let interned_traces t inputs =
   match
@@ -285,5 +316,7 @@ let interned_traces t inputs =
 
 let row t st inputs =
   let traces = interned_traces t inputs in
+  let skey = state_key t st in
   let p = prepare t st in
-  Array.map (fun tr -> cell t p st tr) traces
+  let prep () = p in
+  Array.map (fun tr -> cell t ~skey ~prep st tr) traces

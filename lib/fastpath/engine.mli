@@ -39,7 +39,17 @@ val memo_bound : t -> int option
 (** The configured cap, if any. *)
 
 val time : t -> Pipeline.Inorder.state -> Isa.Exec.input -> int
-(** Drop-in for {!Pipeline.Inorder.time} (bit-identical). *)
+(** Drop-in for {!Pipeline.Inorder.time} (bit-identical). The memo is
+    consulted on the packed state's key before the replay state is
+    prepared, so a warm hit never packs the caches and predictor.
+
+    Each domain has one scratch slot for scalar calls, shared by every
+    engine: it interns the last state and input a domain evaluated
+    (compared physically), with their key, prepared replay and compiled
+    trace, and is cleared when a different engine uses it. Engines leave
+    nothing in domain-local storage, so a dropped engine and the states
+    it evaluated can be collected even in a long-lived domain; the slot
+    keeps at most the last state and input per domain. *)
 
 val row : t -> Pipeline.Inorder.state -> Isa.Exec.input array -> int array
 (** One matrix row in lockstep: the state is packed once, traces are

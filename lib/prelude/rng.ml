@@ -1,15 +1,33 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a [mutable int64] record
+   field is a pointer to a boxed int64, so every draw that stored the new
+   state would allocate. Reads and writes go through
+   [Bytes.get_int64_le]/[set_int64_le], which the native compiler keeps
+   unboxed, so [next] inlined into [int] allocates nothing. *)
+type t = Bytes.t
 
-let make seed = { state = Int64.of_int seed }
+let[@inline] get t = Bytes.get_int64_le t 0
 
-(* splitmix64 core step: good statistical quality, trivially seedable. *)
-let next t =
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
+
+let make seed = of_state (Int64.of_int seed)
+
+let golden = 0x9E3779B97F4A7C15L
+
+(* The splitmix64 output function. *)
+let[@inline] mix z =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
+
+(* splitmix64 core step: good statistical quality, trivially seedable. *)
+let[@inline] next t =
+  let s = Int64.add (get t) golden in
+  Bytes.set_int64_le t 0 s;
+  mix s
 
 (* Unbiased draw via rejection sampling. The previous implementation
    reduced a 63-bit draw with [Int64.rem] alone, which is modulo-biased:
@@ -26,17 +44,20 @@ let next t =
    it never rejects and the emitted sequence matches the old one. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive"
-  else
+  else begin
     let b = Int64.of_int bound in
-    let rec draw () =
+    (* v - r is the multiple of b at or below v; it exceeds
+       max_int - (b - 1) iff v lies in the final partial cycle. *)
+    let last_full = Int64.sub Int64.max_int (Int64.sub b 1L) in
+    let r = ref 0L in
+    let reject = ref true in
+    while !reject do
       let v = Int64.logand (next t) Int64.max_int in
-      let r = Int64.rem v b in
-      (* v - r is the multiple of b at or below v; it exceeds
-         max_int - (b - 1) iff v lies in the final partial cycle. *)
-      if Int64.sub v r > Int64.sub Int64.max_int (Int64.sub b 1L) then draw ()
-      else Int64.to_int r
-    in
-    draw ()
+      r := Int64.rem v b;
+      reject := Int64.sub v !r > last_full
+    done;
+    Int64.to_int !r
+  end
 
 let bool t = Int64.logand (next t) 1L = 1L
 
@@ -62,17 +83,15 @@ let shuffle t items =
   done;
   Array.to_list arr
 
-let split t = { state = next t }
+let split t = of_state (next t)
 
 (* Keyed substream: the state a plain [split] chain would reach after [key]
    steps, computed directly (one multiply) and finalized through the
    splitmix64 mixer so adjacent keys decorrelate. [t] is not advanced, so
    [split_key t k] depends only on [(t's current state, k)] — the property
    that makes per-cell sampling streams independent of which worker domain
-   evaluates which cell. *)
+   evaluates which cell. The result is [next] of a probe generator at
+   [state + golden * key], without building the probe. *)
 let split_key t key =
-  let probe =
-    { state = Int64.add t.state
-        (Int64.mul 0x9E3779B97F4A7C15L (Int64.of_int key)) }
-  in
-  { state = next probe }
+  let probe = Int64.add (get t) (Int64.mul golden (Int64.of_int key)) in
+  of_state (mix (Int64.add probe golden))

@@ -14,7 +14,9 @@ val int : t -> int -> int
     would overweight small residues for bounds near [max_int]). A draw
     may consume more than one step of the underlying stream (with
     probability [(2^63 mod bound) / 2^63]; never for power-of-two or
-    small bounds). @raise Invalid_argument if [bound <= 0]. *)
+    small bounds). Allocates nothing: the state is unboxed, so the
+    bootstrap loops that draw millions of indices create no garbage.
+    @raise Invalid_argument if [bound <= 0]. *)
 
 val bool : t -> bool
 val float : t -> float -> float

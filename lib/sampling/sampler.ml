@@ -74,6 +74,25 @@ let extremes_ratio times =
   let mx = Array.fold_left Stdlib.max 0 times in
   float_of_int mn /. float_of_int mx
 
+(* [extremes_ratio] of one with-replacement resample of [times] drawn
+   from [rng], kept as a running min and max over the draws in draw order
+   instead of a materialised resample array. *)
+let[@inline] resampled_ratio rng times =
+  let n = Array.length times in
+  let mn = ref max_int and mx = ref 0 in
+  for _ = 1 to n do
+    let x = times.(Prelude.Rng.int rng n) in
+    if x < !mn then mn := x;
+    if x > !mx then mx := x
+  done;
+  float_of_int !mn /. float_of_int !mx
+
+let ratio_estimate ~rng ~resamples ~confidence times =
+  let n = Array.length times in
+  if n = 0 then invalid_arg "Sampler.ratio_estimate: empty sample array";
+  Estimate.of_replicates ~confidence ~n ~value:(extremes_ratio times)
+    (Array.init resamples (fun _ -> resampled_ratio rng times))
+
 (* min over strata of (min/max within the stratum) — the sampled analogue
    of Defs. 4 and 5, with the stratum playing the fixed input (SIPr) or
    fixed state (IIPr). *)
@@ -84,20 +103,20 @@ let stratified_min_ratio strata =
 
 (* Hierarchical bootstrap: resample within every stratum (the strata
    themselves are exhaustive — one per input or per state — so they are
-   not resampled), recompute the min-ratio, repeat. *)
-let stratified_estimate ~rng ~spec strata =
-  let value = stratified_min_ratio strata in
-  let replicates =
-    Array.init spec.resamples (fun _ ->
-        stratified_min_ratio
-          (Array.map
-             (fun stratum ->
-                let n = Array.length stratum in
-                Array.init n (fun _ -> stratum.(Prelude.Rng.int rng n)))
-             strata))
+   not resampled), recompute the min-ratio, repeat. A replicate visits the
+   strata in order, so it draws what resampling every stratum up front
+   would, in the same order, and folds the same minimum. *)
+let stratified_estimate ~rng ~resamples ~confidence strata =
+  let replicate _ =
+    let acc = ref 1. in
+    for s = 0 to Array.length strata - 1 do
+      acc := Float.min !acc (resampled_ratio rng strata.(s))
+    done;
+    !acc
   in
   let n = Array.fold_left (fun acc s -> acc + Array.length s) 0 strata in
-  Estimate.of_replicates ~confidence:spec.confidence ~n ~value replicates
+  Estimate.of_replicates ~confidence ~n ~value:(stratified_min_ratio strata)
+    (Array.init resamples replicate)
 
 let run ?jobs ~spec ~n_states ~n_inputs ~time () =
   validate spec;
@@ -142,21 +161,17 @@ let run ?jobs ~spec ~n_states ~n_inputs ~time () =
   (* Every estimate below is a sequential fold over data already fixed
      above, with its own keyed bootstrap stream: jobs cannot affect it. *)
   let pr =
-    Estimate.bootstrap
+    ratio_estimate
       ~rng:(Prelude.Rng.split_key root key_boot_pr)
-      ~resamples:spec.resamples ~confidence:spec.confidence
-      ~stat:extremes_ratio cell_times
+      ~resamples:spec.resamples ~confidence:spec.confidence cell_times
   in
-  let sipr =
+  let stratified key strata =
     stratified_estimate
-      ~rng:(Prelude.Rng.split_key root key_boot_sipr)
-      ~spec sipr_strata
+      ~rng:(Prelude.Rng.split_key root key)
+      ~resamples:spec.resamples ~confidence:spec.confidence strata
   in
-  let iipr =
-    stratified_estimate
-      ~rng:(Prelude.Rng.split_key root key_boot_iipr)
-      ~spec iipr_strata
-  in
+  let sipr = stratified key_boot_sipr sipr_strata in
+  let iipr = stratified key_boot_iipr iipr_strata in
   let mean =
     Estimate.normal_mean ~confidence:spec.confidence
       (Array.to_list (Array.map float_of_int cell_times))

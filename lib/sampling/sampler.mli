@@ -62,6 +62,24 @@ val run :
     @raise Invalid_argument on non-positive dimensions, invalid spec
     fields, or a non-positive execution time. *)
 
+val ratio_estimate :
+  rng:Prelude.Rng.t -> resamples:int -> confidence:float -> int array ->
+  Estimate.t
+(** Pr's estimator: the min/max ratio of the times, with a basic bootstrap
+    interval over [resamples] with-replacement resamples drawn from [rng].
+    Equal to {!Estimate.bootstrap} with the min/max-ratio statistic, bit
+    for bit, but each resample is a running min and max over its draws
+    rather than an array. @raise Invalid_argument on an empty array or
+    negative [resamples]. *)
+
+val stratified_estimate :
+  rng:Prelude.Rng.t -> resamples:int -> confidence:float ->
+  int array array -> Estimate.t
+(** SIPr's and IIPr's estimator: the minimum over strata of each
+    stratum's min/max ratio, with a basic bootstrap interval that
+    resamples within every stratum (in stratum order) and never across
+    them. @raise Invalid_argument on negative [resamples]. *)
+
 val spec_to_json : spec -> Prelude.Json.t
 
 val to_json : result -> Prelude.Json.t

@@ -16,14 +16,16 @@ let extrapolate ~tail_fraction ~exceed_p sorted =
   let n = Array.length sorted in
   let observed_max = sorted.(n - 1) in
   let u = Prelude.Stats.quantile_sorted sorted (1. -. tail_fraction) in
+  (* A plain loop rather than [Array.iter]: the running sum stays an
+     unboxed local instead of a boxed float captured by a closure. *)
   let k = ref 0 and excess_sum = ref 0. in
-  Array.iter
-    (fun x ->
-       if x > u then begin
-         incr k;
-         excess_sum := !excess_sum +. (x -. u)
-       end)
-    sorted;
+  for j = 0 to n - 1 do
+    let x = sorted.(j) in
+    if x > u then begin
+      incr k;
+      excess_sum := !excess_sum +. (x -. u)
+    end
+  done;
   if !k = 0 then observed_max
   else
     let m = !excess_sum /. float_of_int !k in
@@ -50,12 +52,29 @@ let estimate ~rng ~resamples ~confidence ~tail_fraction ~exceed_p side
   Array.sort Float.compare oriented;
   let stat sorted = extrapolate ~tail_fraction ~exceed_p sorted in
   let value = stat oriented in
+  (* [oriented] is sorted, so a sorted resample is a counting sort of the
+     drawn indices: count each index's draws, then lay the samples out in
+     index order. Entries of [oriented] that compare equal are the same
+     float bit for bit (no NaN, and every zero carries the side's sign),
+     so the result is exactly what sorting the drawn values gives. One
+     count buffer and one float buffer serve every resample. *)
+  let counts = Array.make n 0 in
+  let re = Array.make n 0. in
   let replicates =
     Array.init resamples (fun _ ->
-        let re =
-          Array.init n (fun _ -> oriented.(Prelude.Rng.int rng n))
-        in
-        Array.sort Float.compare re;
+        Array.fill counts 0 n 0;
+        for _ = 1 to n do
+          let j = Prelude.Rng.int rng n in
+          counts.(j) <- counts.(j) + 1
+        done;
+        let pos = ref 0 in
+        for j = 0 to n - 1 do
+          let x = oriented.(j) in
+          for _ = 1 to counts.(j) do
+            re.(!pos) <- x;
+            incr pos
+          done
+        done;
         stat re)
   in
   let e = Estimate.of_replicates ~confidence ~n ~value replicates in

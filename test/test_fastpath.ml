@@ -1,6 +1,7 @@
 (* Tests for the fast-path T_p(q,i) engine: packed replay equivalence at
    every layer (policy sets, caches, predictors), engine-vs-interpreter
-   bit-identity, memo-table behaviour, and cross-jobs determinism. *)
+   bit-identity, memo-table behaviour, scratch lifetime (dropped engines
+   leave nothing in domain-local storage), and cross-jobs determinism. *)
 
 let reg = Isa.Reg.make
 
@@ -351,6 +352,92 @@ let test_memo_bound_validated () =
     (Invalid_argument "Fastpath.Engine.create: memo_bound must be >= 1")
     (fun () -> ignore (Fastpath.Engine.create ~memo_bound:0 program))
 
+(* --- Scratch lifetime ---------------------------------------------------- *)
+
+(* A resident process (the CLI's main domain, a daemon worker) creates
+   engines for as long as it lives. Once an engine and its state are
+   dropped, the collector must be able to reclaim the state: the domain's
+   one scratch slot may keep the last state it served, nothing more. *)
+let leak_engines = 200
+
+let[@inline never] time_on_fresh_engines reclaimed =
+  let w = Isa.Workload.find "clamp" in
+  let program, _ = Isa.Workload.program w in
+  let input = List.hd w.Isa.Workload.inputs in
+  for _ = 1 to leak_engines do
+    let st =
+      List.hd (Predictability.Harness.inorder_states ~count:1 program w)
+    in
+    Gc.finalise_last (fun () -> incr reclaimed) st;
+    let eng = Fastpath.Engine.create program in
+    ignore (Fastpath.Engine.time eng st input)
+  done
+
+let test_dropped_engines_reclaimed () =
+  let reclaimed = ref 0 in
+  time_on_fresh_engines reclaimed;
+  Gc.full_major ();
+  Gc.full_major ();
+  if !reclaimed < leak_engines - 1 then
+    Alcotest.failf "%d of %d dropped states reclaimed" !reclaimed
+      leak_engines
+
+(* OCaml 5.1 never frees a domain-local key, so a key made per engine (or
+   per call) pins its last value in every domain that touched it. Every
+   [Domain.DLS.new_key] under lib/ must be a module-level [let name = ...]
+   binding, evaluated once per process. The sources are read from the
+   build tree next to the test executable (test/dune declares them). *)
+let rec ml_files dir =
+  Array.fold_left
+    (fun acc entry ->
+       let path = Filename.concat dir entry in
+       if Sys.is_directory path then ml_files path @ acc
+       else if Filename.check_suffix entry ".ml" then path :: acc
+       else acc)
+    [] (Sys.readdir dir)
+
+let new_key = "Domain.DLS.new_key"
+
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = sub then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* The text before the call must be exactly ["let <name> = "]. *)
+let module_level_binding before =
+  let ident_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+    | _ -> false
+  in
+  match String.split_on_char ' ' before with
+  | [ "let"; name; "="; "" ] -> name <> "" && String.for_all ident_char name
+  | _ -> false
+
+let test_dls_keys_module_level () =
+  let sites =
+    List.concat_map
+      (fun path ->
+         In_channel.with_open_text path In_channel.input_all
+         |> String.split_on_char '\n'
+         |> List.filter_map (fun line ->
+             Option.map
+               (fun at -> (path, line, String.sub line 0 at))
+               (find_sub line new_key)))
+      (ml_files
+         (Filename.concat (Filename.dirname Sys.executable_name) "../lib"))
+  in
+  Alcotest.(check bool) "lib/ has domain-local keys" true (sites <> []);
+  List.iter
+    (fun (path, line, before) ->
+       if not (module_level_binding before) then
+         Alcotest.failf "%s: not a module-level key: %s" path
+           (String.trim line))
+    sites
+
 (* --- Random programs (straight-line + forward branches) ------------------ *)
 
 (* Terminating by construction: control flow is only forward branches over
@@ -675,6 +762,11 @@ let () =
            test_memo_bound_evicts_fifo;
          Alcotest.test_case "bound validated" `Quick test_memo_bound_validated;
          QCheck_alcotest.to_alcotest prop_memoized_agrees_with_unmemoized ]);
+      ("scratch",
+       [ Alcotest.test_case "dropped engines and states reclaimed" `Quick
+           test_dropped_engines_reclaimed;
+         Alcotest.test_case "domain-local keys are module-level" `Quick
+           test_dls_keys_module_level ]);
       ("determinism",
        [ Alcotest.test_case "jobs 1/2/4/8" `Quick test_jobs_determinism;
          Alcotest.test_case "fast inline small matrices" `Quick

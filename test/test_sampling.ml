@@ -1,8 +1,11 @@
 (* Tests for the sampling layer and the Rng.int bias fix: chi-square
    uniformity (the old modulo reduction must fail it, the rejection
    sampler must pass), sequence compatibility for small bounds, keyed
-   substreams, histogram edge cases, quantiles, CI constructions, tail
-   extrapolation, and the sampler's determinism/containment contract. *)
+   substreams and known-answer streams, histogram edge cases, quantiles,
+   CI constructions, tail extrapolation, allocation-free resampling
+   against the materialising reference, the sampler's
+   determinism/containment contract, and `predlab sample --format json`
+   pinned by digest. *)
 
 (* --- The old biased Rng.int, reconstructed locally ----------------------- *)
 
@@ -83,6 +86,83 @@ let test_int_rejects_nonpositive_bound () =
   Alcotest.check_raises "bound -3"
     (Invalid_argument "Rng.int: bound must be positive") (fun () ->
         ignore (Prelude.Rng.int rng (-3)))
+
+(* --- Known answers: every stream against the local splitmix64 ------------ *)
+
+let golden = 0x9E3779B97F4A7C15L
+
+(* The published splitmix64 test vector pins the reference itself. *)
+let test_splitmix_reference_vector () =
+  Alcotest.(check int64) "first output from state 0" 0xE220A8397B1DCDAFL
+    (splitmix_next (ref 0L))
+
+(* Raw words through the public API: [float t bound] scales the top 53
+   bits of one step, and [int t 2^61] is its low 61 bits (a power-of-two
+   bound never rejects). Both compared bit for bit. *)
+let ref_float state bound =
+  let mantissa =
+    Int64.to_int (Int64.shift_right_logical (splitmix_next state) 11)
+  in
+  bound *. (float_of_int mantissa /. 9007199254740992.0)
+
+let low61 = 1 lsl 61
+
+let ref_low61 state =
+  Int64.to_int (Int64.logand (splitmix_next state) (Int64.of_int (low61 - 1)))
+
+let check_float what expected actual =
+  Alcotest.(check int64) what (Int64.bits_of_float expected)
+    (Int64.bits_of_float actual)
+
+let test_float_known_answers () =
+  List.iter
+    (fun seed ->
+       let rng = Prelude.Rng.make seed and state = ref (Int64.of_int seed) in
+       for k = 1 to 100 do
+         let bound = List.nth [ 1.; 3.5; 1e6 ] (k mod 3) in
+         check_float
+           (Printf.sprintf "seed %d draw %d" seed k)
+           (ref_float state bound)
+           (Prelude.Rng.float rng bound)
+       done)
+    [ 0; 1; 0x5a3d; -7 ]
+
+let test_split_known_answers () =
+  let parent = Prelude.Rng.make 11 and pstate = ref 11L in
+  Alcotest.(check int) "parent before the split" (ref_low61 pstate)
+    (Prelude.Rng.int parent low61);
+  let child = Prelude.Rng.split parent in
+  let cstate = ref (splitmix_next pstate) in
+  for k = 1 to 20 do
+    check_float
+      (Printf.sprintf "child draw %d" k)
+      (ref_float cstate 1.) (Prelude.Rng.float child 1.);
+    Alcotest.(check int)
+      (Printf.sprintf "parent draw %d" k)
+      (ref_low61 pstate)
+      (Prelude.Rng.int parent low61)
+  done
+
+let test_split_key_known_answers () =
+  let parent = Prelude.Rng.make 0x5a3d and pstate = ref 0x5a3dL in
+  for _ = 1 to 3 do
+    Alcotest.(check int) "parent before" (ref_low61 pstate)
+      (Prelude.Rng.int parent low61)
+  done;
+  List.iter
+    (fun key ->
+       let child = Prelude.Rng.split_key parent key in
+       let probe = Int64.add !pstate (Int64.mul golden (Int64.of_int key)) in
+       let cstate = ref (splitmix_next (ref probe)) in
+       for k = 1 to 20 do
+         Alcotest.(check int)
+           (Printf.sprintf "key %d draw %d" key k)
+           (ref_low61 cstate)
+           (Prelude.Rng.int child low61)
+       done)
+    [ 0; 1; 2; 3; 7; 8; 37; 1000; -5; max_int; min_int ];
+  Alcotest.(check int) "parent after, not advanced" (ref_low61 pstate)
+    (Prelude.Rng.int parent low61)
 
 (* --- Keyed substreams ---------------------------------------------------- *)
 
@@ -246,6 +326,168 @@ let test_tail_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "tail_fraction 0: expected Invalid_argument"
 
+(* --- Allocation-free resampling vs the materialising reference ----------- *)
+
+(* The resamplers as they were before resampling went allocation-free: every
+   resample a fresh array, the tail's sorted with [Float.compare]. The
+   library must agree with them bit for bit. *)
+let ref_extremes_ratio times =
+  let mn = Array.fold_left Stdlib.min max_int times in
+  let mx = Array.fold_left Stdlib.max 0 times in
+  float_of_int mn /. float_of_int mx
+
+let ref_ratio_estimate ~rng ~resamples ~confidence times =
+  Sampling.Estimate.bootstrap ~rng ~resamples ~confidence
+    ~stat:ref_extremes_ratio times
+
+let ref_stratified_min_ratio strata =
+  Array.fold_left
+    (fun acc stratum -> Float.min acc (ref_extremes_ratio stratum))
+    1. strata
+
+let ref_stratified_estimate ~rng ~resamples ~confidence strata =
+  let value = ref_stratified_min_ratio strata in
+  let replicates =
+    Array.init resamples (fun _ ->
+        ref_stratified_min_ratio
+          (Array.map
+             (fun stratum ->
+                let n = Array.length stratum in
+                Array.init n (fun _ -> stratum.(Prelude.Rng.int rng n)))
+             strata))
+  in
+  let n = Array.fold_left (fun acc s -> acc + Array.length s) 0 strata in
+  Sampling.Estimate.of_replicates ~confidence ~n ~value replicates
+
+let ref_extrapolate ~tail_fraction ~exceed_p sorted =
+  let n = Array.length sorted in
+  let observed_max = sorted.(n - 1) in
+  let u = Prelude.Stats.quantile_sorted sorted (1. -. tail_fraction) in
+  let k = ref 0 and excess_sum = ref 0. in
+  Array.iter
+    (fun x ->
+       if x > u then begin
+         incr k;
+         excess_sum := !excess_sum +. (x -. u)
+       end)
+    sorted;
+  if !k = 0 then observed_max
+  else
+    let m = !excess_sum /. float_of_int !k in
+    let q =
+      u +. (m *. log (float_of_int !k /. (float_of_int n *. exceed_p)))
+    in
+    Float.max q observed_max
+
+let ref_tail_estimate ~rng ~resamples ~confidence ~tail_fraction ~exceed_p
+    side samples =
+  let n = Array.length samples in
+  let sign = match side with Sampling.Tail.Upper -> 1. | Lower -> -1. in
+  let oriented = Array.map (fun t -> sign *. float_of_int t) samples in
+  Array.sort Float.compare oriented;
+  let stat sorted = ref_extrapolate ~tail_fraction ~exceed_p sorted in
+  let value = stat oriented in
+  let replicates =
+    Array.init resamples (fun _ ->
+        let re = Array.init n (fun _ -> oriented.(Prelude.Rng.int rng n)) in
+        Array.sort Float.compare re;
+        stat re)
+  in
+  let e = Sampling.Estimate.of_replicates ~confidence ~n ~value replicates in
+  match side with
+  | Upper -> e
+  | Lower ->
+    { e with
+      value = -.e.Sampling.Estimate.value;
+      ci =
+        { Sampling.Estimate.lo = -.e.Sampling.Estimate.ci.Sampling.Estimate.hi;
+          hi = -.e.Sampling.Estimate.ci.Sampling.Estimate.lo;
+          confidence = e.Sampling.Estimate.ci.Sampling.Estimate.confidence } }
+
+(* An estimate as bits: [=] on the floats themselves would also equate
+   0. with -0. *)
+let estimate_bits (e : Sampling.Estimate.t) =
+  ( Int64.bits_of_float e.value,
+    Int64.bits_of_float e.ci.lo,
+    Int64.bits_of_float e.ci.hi,
+    Int64.bits_of_float e.ci.confidence,
+    e.n,
+    e.meth )
+
+(* Positive times: mostly distinct, heavily tied, or constant; length 1
+   often enough to matter. *)
+let times_gen =
+  QCheck.Gen.(
+    let* n = frequency [ (1, return 1); (6, int_range 2 40) ] in
+    frequency
+      [ (3, array_size (return n) (int_range 1 1_000_000));
+        (3, array_size (return n) (int_range 1 4));
+        (1, map (Array.make n) (int_range 1 100)) ])
+
+type resample_case = {
+  seed : int;
+  resamples : int;
+  confidence : float;
+  times : int array;
+  strata : int array array;
+  side : Sampling.Tail.side;
+  tail_fraction : float;
+  exceed_p : float;
+}
+
+let resample_case_gen =
+  QCheck.Gen.(
+    let* seed = int in
+    let* resamples = int_range 0 50 in
+    let* confidence = oneofl [ 0.5; 0.9; 0.99 ] in
+    let* times = times_gen in
+    let* strata = array_size (int_range 1 6) times_gen in
+    let* side = oneofl [ Sampling.Tail.Upper; Sampling.Tail.Lower ] in
+    let* tail_fraction = oneofl [ 0.05; 0.25; 0.5; 0.9 ] in
+    let* exceed_p = oneofl [ 0.001; 0.1; 0.5 ] in
+    return
+      { seed; resamples; confidence; times; strata; side; tail_fraction;
+        exceed_p })
+
+let print_resample_case c =
+  let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf
+    "seed=%d resamples=%d confidence=%g side=%s tail_fraction=%g \
+     exceed_p=%g times=[%s] strata=[%s]"
+    c.seed c.resamples c.confidence
+    (match c.side with Sampling.Tail.Upper -> "upper" | Lower -> "lower")
+    c.tail_fraction c.exceed_p (ints c.times)
+    (String.concat " | " (Array.to_list (Array.map ints c.strata)))
+
+let prop_resampling_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"allocation-free resampling = materialising reference (bitwise)"
+    (QCheck.make ~print:print_resample_case resample_case_gen)
+    (fun c ->
+       let rng () = Prelude.Rng.make c.seed in
+       let same what expected actual =
+         if estimate_bits expected <> estimate_bits actual then
+           QCheck.Test.fail_reportf "%s: reference %s, library %s" what
+             (Sampling.Estimate.to_string expected)
+             (Sampling.Estimate.to_string actual)
+       in
+       let resamples = c.resamples and confidence = c.confidence in
+       same "ratio"
+         (ref_ratio_estimate ~rng:(rng ()) ~resamples ~confidence c.times)
+         (Sampling.Sampler.ratio_estimate ~rng:(rng ()) ~resamples
+            ~confidence c.times);
+       same "stratified"
+         (ref_stratified_estimate ~rng:(rng ()) ~resamples ~confidence
+            c.strata)
+         (Sampling.Sampler.stratified_estimate ~rng:(rng ()) ~resamples
+            ~confidence c.strata);
+       let tail estimate =
+         estimate ~rng:(rng ()) ~resamples ~confidence
+           ~tail_fraction:c.tail_fraction ~exceed_p:c.exceed_p c.side c.times
+       in
+       same "tail" (tail ref_tail_estimate) (tail Sampling.Tail.estimate);
+       true)
+
 (* --- The sampler: determinism and containment ---------------------------- *)
 
 let synthetic_time q i = 10 + (((q * 31) + (i * 17)) mod 13)
@@ -387,6 +629,36 @@ let test_quantify_sample_counts_evals () =
   Alcotest.(check int) "timer called once per eval" r.Sampling.Sampler.evals
     !calls
 
+(* --- `predlab sample --format json`, byte for byte ------------------------ *)
+
+(* MD5 digests of the exact text `predlab sample --format json --seed N
+   --jobs 1` prints over the whole workload registry (the CLI and the
+   daemon's [sample] op both render it through [Serve.Ops]). Any change to
+   the RNG stream, the draw order, the bootstrap or tail arithmetic, or the
+   JSON rendering moves them. *)
+let pinned_sample_digests =
+  [ (1, "3af9c6ab181d0fab22ca4daba6107d9b");
+    (2, "9a10e16d5511b6d724c4eb3f9f9fcc5f") ]
+
+let test_sample_json_pinned () =
+  List.iter
+    (fun (seed, digest) ->
+       let request =
+         Serve.Protocol.Sample
+           { workloads = []; seed = Some seed; samples = None;
+             confidence = None }
+       in
+       let text =
+         Serve.Ops.render Serve.Ops.sample
+           (Serve.Ops.sample.Serve.Ops.document ~jobs:1 ~deadline_s:None
+              request)
+       in
+       Alcotest.(check string)
+         (Printf.sprintf "seed %d digest" seed)
+         digest
+         (Digest.to_hex (Digest.string text)))
+    pinned_sample_digests
+
 let () =
   Alcotest.run "sampling"
     [ ("rng",
@@ -397,7 +669,15 @@ let () =
          Alcotest.test_case "small-bound sequences unchanged" `Quick
            test_small_bound_sequences_unchanged;
          Alcotest.test_case "non-positive bound rejected" `Quick
-           test_int_rejects_nonpositive_bound ]);
+           test_int_rejects_nonpositive_bound;
+         Alcotest.test_case "splitmix64 reference vector" `Quick
+           test_splitmix_reference_vector;
+         Alcotest.test_case "float known answers" `Quick
+           test_float_known_answers;
+         Alcotest.test_case "split known answers" `Quick
+           test_split_known_answers;
+         Alcotest.test_case "split_key known answers" `Quick
+           test_split_key_known_answers ]);
       ("split-key",
        [ Alcotest.test_case "reproducible" `Quick test_split_key_reproducible;
          Alcotest.test_case "distinct keys decorrelate" `Quick
@@ -429,6 +709,8 @@ let () =
            test_tail_constant_samples_degenerate;
          Alcotest.test_case "parameter validation" `Quick
            test_tail_validation ]);
+      ("resampling",
+       [ QCheck_alcotest.to_alcotest prop_resampling_matches_reference ]);
       ("sampler",
        [ Alcotest.test_case "bit-identical across jobs" `Quick
            test_sampler_jobs_determinism;
@@ -440,4 +722,7 @@ let () =
       ("quantify-sample",
        [ Alcotest.test_case "validation" `Quick test_quantify_sample_validation;
          Alcotest.test_case "eval accounting" `Quick
-           test_quantify_sample_counts_evals ]) ]
+           test_quantify_sample_counts_evals ]);
+      ("pinned",
+       [ Alcotest.test_case "sample --format json digests (seeds 1, 2)"
+           `Quick test_sample_json_pinned ]) ]
