@@ -234,6 +234,12 @@ let sampling_samples = Array.init 256 (fun k -> 10 + (k * 29 mod 97))
    so this times the resample loop where the modulo bias used to hide. *)
 let rejection_bound = (1 lsl 60) * 3 - 11
 
+(* The path DEF.SAMPLE spends its time on: one sampled analysis of a real
+   workload through the fast-path engine, with a cold memo (analyze builds
+   its own timer on every call) and the default bootstrap. *)
+let sampled_entry =
+  ("bubble_sort", List.assoc "bubble_sort" Isa.Workload.registry)
+
 let wcet_config =
   { Analysis.Wcet.icache =
       Analysis.Wcet.Cached_fetch
@@ -352,6 +358,8 @@ let kernel_specs jobs =
     stage "DEF.SAMPLE/sampler_run" (fun () ->
         Sampling.Sampler.run ~jobs:1 ~spec:sampling_spec ~n_states:32
           ~n_inputs:32 ~time:sampling_time ());
+    stage ~engine:"fast" "DEF.SAMPLE/analyze" (fun () ->
+        Predictability.Sampled.analyze ~jobs:1 sampled_entry);
     stage "DEF.SAMPLE/bootstrap_mean_ci" (fun () ->
         Sampling.Estimate.bootstrap ~rng:(Prelude.Rng.make 11) ~resamples:50
           ~confidence:0.99

@@ -19,10 +19,11 @@ dune exec bin/predlab.exe -- run EQ4 --jobs 2
 dune exec predbench/e2e.exe -- --workload paper_all --seconds 0 --seed 1
 dune exec bench/main.exe -- --only RW.CACHE
 # Determinism gate: the timer decides where matrix rows run (batched rows
-# inline or on the pool, scalar rows on the pool), so the experiments on
-# those paths must print the same report at --jobs 1 and --jobs 4 once the
+# inline or on the pool, scalar rows on the pool), and sampled cells run
+# on the pool through one shared engine grid, so the experiments on those
+# paths must print the same report at --jobs 1 and --jobs 4 once the
 # [wall ...] timing line and the (jobs=N) summary are removed.
-for id in FIG1 FIG1.FAST EXT.EXTENT TAB1.R2 EXT.ATLAS; do
+for id in FIG1 FIG1.FAST EXT.EXTENT TAB1.R2 EXT.ATLAS DEF.SAMPLE DEF.CERT; do
   for jobs in 1 4; do
     dune exec bin/predlab.exe -- run "$id" --jobs "$jobs" > "_build/det-$jobs.raw"
     sed -e '/^[[:space:]]*\[wall/d' -e 's/ (jobs=[0-9]*)$//' \

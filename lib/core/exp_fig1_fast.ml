@@ -1,6 +1,6 @@
 (* FIG1.FAST — the fast-path equivalence oracle, machine-checked per
    workload: the compositional fast-path engine (block summaries, packed
-   replay, memoized cells, lockstep batch rows) must reproduce the exact
+   replay, memoized cells addressed through a grid) must reproduce the exact
    cycle-accurate T_p(q,i) matrix bit for bit — for every registry
    workload, at jobs 1/2/4/8, with the memo table on and off, and again on
    a warm memo. Any fast-path shortcut that changes a single cell turns
@@ -25,8 +25,7 @@ let measure (name, make) =
   let w : Isa.Workload.t = make () in
   let program, _ = Isa.Workload.program w in
   let states = Harness.inorder_states program w in
-  (* Same input cap as FIG1.SOUND: meaningful coverage, cheap full sweep. *)
-  let inputs = Prelude.Listx.take 24 w.Isa.Workload.inputs in
+  let inputs = Prelude.Listx.take Sampled.input_cap w.Isa.Workload.inputs in
   let exact =
     Quantify.evaluate ~jobs:1 ~states ~inputs
       ~time:(Harness.inorder_time program) ()

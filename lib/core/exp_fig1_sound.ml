@@ -32,9 +32,7 @@ let measure (name, make) =
   let w : Isa.Workload.t = make () in
   let program, shapes = Isa.Workload.program w in
   let states = Harness.inorder_states program w in
-  (* Same input cap as EXT.ATLAS: enough observations to be a meaningful
-     oracle, cheap enough to sweep the whole registry. *)
-  let inputs = Prelude.Listx.take 24 w.Isa.Workload.inputs in
+  let inputs = Prelude.Listx.take Sampled.input_cap w.Isa.Workload.inputs in
   (* Fast engine (gated by the FIG1.FAST oracle): bit-identical matrix. *)
   let matrix =
     Quantify.evaluate_timer ~states ~inputs (Harness.inorder_timer program)

@@ -49,8 +49,7 @@ let inorder_time program state input = Pipeline.Inorder.time program state input
 
 let inorder_timer ?(memo = true) program =
   let eng = Fastpath.Engine.create ~memo program in
-  Quantify.Batched
-    { scalar = Fastpath.Engine.time eng; row = Fastpath.Engine.row eng }
+  Quantify.Batched { grid = Fastpath.Engine.grid eng }
 
 let outcomes program inputs = List.map (Isa.Exec.run program) inputs
 

@@ -2,10 +2,7 @@ type matrix = int array array  (* indexed [state][input] *)
 
 type ('q, 'i) timer =
   | Scalar of ('q -> 'i -> int)
-  | Batched of {
-      scalar : 'q -> 'i -> int;
-      row : 'q -> 'i array -> int array;
-    }
+  | Batched of { grid : 'q array -> 'i array -> int -> int -> int }
 
 (* Below this many cells a batched matrix stays on the calling domain: the
    per-call pool spawn/join costs milliseconds, which dwarfs the fast-path
@@ -20,6 +17,12 @@ let invalid_first f =
   | Prelude.Parallel.Multiple_failures { first = Invalid_argument _ as e; _ } ->
     Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())
 
+(* The timer as a function of a (state, input) index pair. *)
+let cell_of timer states inputs =
+  match timer with
+  | Scalar time -> fun q i -> time states.(q) inputs.(i)
+  | Batched { grid } -> grid states inputs
+
 let evaluate_timer ?jobs ~states ~inputs timer =
   if states = [] then invalid_arg "Quantify.evaluate: empty state set";
   if inputs = [] then invalid_arg "Quantify.evaluate: empty input set";
@@ -31,21 +34,12 @@ let evaluate_timer ?jobs ~states ~inputs timer =
   in
   (* Validation happens in place on the worker's own result — one pass over
      freshly produced cells, no second sweep or copy on the caller. *)
+  let cell = cell_of timer states inputs in
   let row q =
-    match timer with
-    | Scalar time ->
-      Array.map
-        (fun i ->
-           let t = time q i in
-           check t;
-           t)
-        inputs
-    | Batched { row; _ } ->
-      let r = row q inputs in
-      if Array.length r <> Array.length inputs then
-        invalid_arg "Quantify.evaluate: batched row has wrong width";
-      Array.iter check r;
-      r
+    Array.init (Array.length inputs) (fun i ->
+        let t = cell q i in
+        check t;
+        t)
   in
   let cells = Array.length states * Array.length inputs in
   (* Rows of the T_p(q, i) matrix are independent, so they may run on the
@@ -54,13 +48,13 @@ let evaluate_timer ?jobs ~states ~inputs timer =
   let m =
     match timer with
     | Batched _ when cells < inline_cells ->
-      Array.map
-        (fun q ->
-           Prelude.Parallel.check_deadline ();
-           row q)
-        states
+      Array.init (Array.length states) (fun q ->
+          Prelude.Parallel.check_deadline ();
+          row q)
     | Scalar _ | Batched _ ->
-      invalid_first (fun () -> Prelude.Parallel.map_array ?jobs row states)
+      invalid_first (fun () ->
+          Prelude.Parallel.map_array ?jobs row
+            (Array.init (Array.length states) Fun.id))
   in
   Prelude.Instrument.add_cells cells;
   Prelude.Instrument.add_evals cells;
@@ -70,17 +64,18 @@ let evaluate ?jobs ~states ~inputs ~time () =
   evaluate_timer ?jobs ~states ~inputs (Scalar time)
 
 (* Sampled evaluation: estimate the quantities from a seeded subset of
-   cells instead of materialising Q x I. The timer's scalar is used per
-   sampled cell — with Harness.inorder_timer that is the fast-path engine,
-   whose memo table turns the with-replacement draws' repeats into hits. *)
+   cells instead of materialising Q x I. The sampler draws cells by index,
+   so a batched timer's grid serves them — with Harness.inorder_timer that
+   is the fast-path engine, whose memo table turns the with-replacement
+   draws' repeats into hits. *)
 let sample ?jobs ~spec ~states ~inputs timer =
   if states = [] then invalid_arg "Quantify.sample: empty state set";
   if inputs = [] then invalid_arg "Quantify.sample: empty input set";
   let states = Array.of_list states in
   let inputs = Array.of_list inputs in
-  let scalar = match timer with Scalar time -> time | Batched b -> b.scalar in
+  let cell = cell_of timer states inputs in
   let time q i =
-    let t = scalar states.(q) inputs.(i) in
+    let t = cell q i in
     if t <= 0 then
       invalid_arg "Quantify.sample: execution times must be positive";
     t

@@ -41,15 +41,17 @@ val evaluate :
 type ('q, 'i) timer =
   | Scalar of ('q -> 'i -> int)
   | Batched of {
-      scalar : 'q -> 'i -> int;
-      row : 'q -> 'i array -> int array;
-        (** one matrix row in a single call (lockstep batch stepping);
-            must agree cell-for-cell with [scalar] *)
+      grid : 'q array -> 'i array -> int -> int -> int;
+        (** [grid states inputs] is [cell], where [cell q i] times
+            [states.(q)] on [inputs.(i)]. Built once per evaluation or
+            sample over the caller's arrays, and called from any number of
+            worker domains. *)
     }
-(** A timing function, optionally with a batched row evaluator.
-    {!Harness.inorder_timer} builds the fast path's [Batched] timer
-    ({!Fastpath.Engine.row}); a [Scalar] timer such as
-    {!Harness.inorder_time} is the exact reference. *)
+(** A timing function. A [Scalar] timer such as {!Harness.inorder_time} is
+    called per cell and is the exact reference. A [Batched] timer addresses
+    cells by index, so it can derive what it needs from each state and
+    input once per index rather than once per cell:
+    {!Harness.inorder_timer} builds one over {!Fastpath.Engine.grid}. *)
 
 val inline_cells : int
 (** Batched matrices with fewer cells than this run on the calling
@@ -62,18 +64,17 @@ val evaluate_timer :
     matrix under {!inline_cells} runs on the calling domain, every other
     matrix on [jobs] worker domains. The matrix is bit-identical either
     way. Validation runs in place on each freshly produced row — a single
-    pass, no second O(Q*I) sweep. Batched rows of the wrong width are
-    rejected. *)
+    pass, no second O(Q*I) sweep. *)
 
 val sample :
   ?jobs:int -> spec:Sampling.Sampler.spec -> states:'q list ->
   inputs:'i list -> ('q, 'i) timer -> Sampling.Sampler.result
 (** Sampled evaluation: estimate Pr/SIPr/IIPr, the mean
     and pWCET-style BCET/WCET tails from a seeded subset of cells instead
-    of materialising [Q * I] — the scale-past-exhaustive path. The
-    timer's scalar is invoked per sampled cell; for the timer
-    {!Harness.inorder_timer} builds, that is the fast-path engine, whose
-    memo table absorbs the with-replacement repeats.
+    of materialising [Q * I] — the scale-past-exhaustive path. The timer
+    is invoked per sampled cell, through one grid for a [Batched] timer;
+    for the timer {!Harness.inorder_timer} builds, that is the fast-path
+    engine, whose memo table absorbs the with-replacement repeats.
     Results are bit-identical for any [jobs] and credit their evaluation
     count (not [Q * I]) to {!Prelude.Instrument}.
     @raise Invalid_argument on empty [states]/[inputs], an invalid spec,

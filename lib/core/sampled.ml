@@ -5,8 +5,8 @@
    exhaustive quantities next to them for cross-checking. Shared by the
    `predlab sample` CLI and the DEF.SAMPLE oracle experiment. *)
 
-(* Same input cap as FIG1.SOUND / FIG1.FAST: meaningful coverage while the
-   exhaustive cross-check sweep stays cheap. *)
+(* Meaningful coverage while an exhaustive sweep of the registry stays
+   cheap. *)
 let input_cap = 24
 
 type exhaustive = {

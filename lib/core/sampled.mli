@@ -6,8 +6,9 @@
     [predlab sample] CLI and the DEF.SAMPLE oracle experiment. *)
 
 val input_cap : int
-(** Inputs per workload (24, the FIG1.SOUND / FIG1.FAST cap), so the
-    exhaustive cross-check sweep stays cheap. *)
+(** Inputs per workload (24) in the standard space that FIG1.SOUND,
+    FIG1.FAST, DEF.SAMPLE, DEF.CERT and the serve daemon share, so an
+    exhaustive sweep of the registry stays cheap. *)
 
 type exhaustive = {
   x_pr : Prelude.Ratio.t;

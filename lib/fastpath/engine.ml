@@ -16,12 +16,15 @@ type prepared = {
   ctx : string;
 }
 
-(* Per-domain single-entry interning for scalar [time] calls: sweeps pass
-   the same state along a row and often the same input repeatedly, so a
-   physical-equality hit skips re-packing the state (state key, prepare)
-   and re-marshalling the input (trace keying). Domain-local by
-   construction — prepared working arrays are mutated during a cell, so
-   they must never be shared across domains.
+(* Per-domain scratch: the last state the domain worked on, with its key
+   and (once a cell of it missed the memo) its prepared replay, plus the
+   last input [time] was called with and its compiled trace. [time] calls
+   pass the same state along a row and often the same input repeatedly,
+   so a physical-equality hit skips re-packing the state (state key,
+   prepare) and re-marshalling the input (trace keying); a grid keeps its
+   own keys and traces and takes only the prepared replay from the slot.
+   Domain-local by construction — prepared working arrays are mutated
+   during a cell, so they must never be shared across domains.
 
    There is one slot per domain, under one module-level key, whatever the
    number of engines: OCaml never frees a domain-local key, so a key per
@@ -68,7 +71,6 @@ type t = {
   traces : (string, Trace.compiled) Hashtbl.t;
   summaries : (string, Summary.t) Hashtbl.t;
   classes : (Classify.features, bool array) Hashtbl.t;
-  mutable interned : (Isa.Exec.input array * Trace.compiled array) option;
   mu : Mutex.t;
 }
 
@@ -90,7 +92,6 @@ let create ?(memo = true) ?memo_bound program =
     traces = Hashtbl.create 64;
     summaries = Hashtbl.create 64;
     classes = Hashtbl.create 8;
-    interned = None;
     mu = Mutex.create () }
 
 let memoized t = t.memo <> None
@@ -244,30 +245,10 @@ let memo_insert m key v =
       done
   end
 
-(* One cell through the memo: the memo is consulted on [skey] (the packed
-   state) before [prep] runs, so a hit never pays for packing the replay
-   state; a miss prepares it (once per row or slot) and replays. *)
-let cell t ~skey ~prep st tr =
-  let replay () =
-    let p = prep () in
-    let sum = summary_for t ~ctx:p.ctx ~pure:p.pure st tr in
-    run_cell p sum tr
-  in
-  match t.memo with
-  | None -> replay ()
-  | Some memo -> (
-      let key = skey ^ "#" ^ tr.Trace.key in
-      match with_lock t (fun () -> Hashtbl.find_opt memo.cells key) with
-      | Some v ->
-        Prelude.Instrument.add_memo_hits 1;
-        v
-      | None ->
-        Prelude.Instrument.add_memo_misses 1;
-        let v = replay () in
-        with_lock t (fun () -> memo_insert memo key v);
-        v)
-
-let time t st input =
+(* The domain's slot, claimed for [t] and holding [st]. [key t st] must
+   give [st]'s state key; it runs only when the slot held another state.
+   This is the one place that keeps [s_skey] the key of [s_state]. *)
+let claim t st key =
   let s = Domain.DLS.get slot in
   if s.owner <> t.id then begin
     s.owner <- t.id;
@@ -278,10 +259,45 @@ let time t st input =
   (match s.s_state with
    | Some st' when st' == st -> ()
    | _ ->
-     let skey = state_key t st in
+     let skey = key t st in
      s.s_state <- Some st;
      s.s_skey <- skey;
      s.s_prep <- None);
+  s
+
+(* A memo miss: the prepared replay of [st] comes from the domain's slot,
+   built there on the first miss of a state. *)
+let replay t ~skey st tr =
+  let s = claim t st (fun _ _ -> skey) in
+  let p =
+    match s.s_prep with
+    | Some p -> p
+    | None ->
+      let p = prepare t st in
+      s.s_prep <- Some p;
+      p
+  in
+  run_cell p (summary_for t ~ctx:p.ctx ~pure:p.pure st tr) tr
+
+(* One cell through the memo, looked up on [skey] (the packed state) before
+   anything is prepared, so a hit never packs the replay state. *)
+let cell t ~skey st tr =
+  match t.memo with
+  | None -> replay t ~skey st tr
+  | Some memo -> (
+      let key = skey ^ "#" ^ tr.Trace.key in
+      match with_lock t (fun () -> Hashtbl.find_opt memo.cells key) with
+      | Some v ->
+        Prelude.Instrument.add_memo_hits 1;
+        v
+      | None ->
+        Prelude.Instrument.add_memo_misses 1;
+        let v = replay t ~skey st tr in
+        with_lock t (fun () -> memo_insert memo key v);
+        v)
+
+let time t st input =
+  let s = claim t st state_key in
   let tr =
     match s.s_input, s.s_trace with
     | Some i', Some tr when i' == input -> tr
@@ -291,32 +307,31 @@ let time t st input =
       s.s_trace <- Some tr;
       tr
   in
-  let prep () =
-    match s.s_prep with
-    | Some p -> p
-    | None ->
-      let p = prepare t st in
-      s.s_prep <- Some p;
-      p
-  in
-  cell t ~skey:s.s_skey ~prep st tr
+  cell t ~skey:s.s_skey st tr
 
-let interned_traces t inputs =
-  match
-    with_lock t (fun () ->
-        match t.interned with
-        | Some (arr, traces) when arr == inputs -> Some traces
-        | _ -> None)
-  with
-  | Some traces -> traces
-  | None ->
-    let traces = Array.map (fun i -> trace_for t i) inputs in
-    with_lock t (fun () -> t.interned <- Some (inputs, traces));
-    traces
-
-let row t st inputs =
-  let traces = interned_traces t inputs in
-  let skey = state_key t st in
-  let p = prepare t st in
-  let prep () = p in
-  Array.map (fun tr -> cell t ~skey ~prep st tr) traces
+(* The callers' arrays are the intern table: a state's key and an input's
+   trace are computed on the first cell that uses the index. Domains that
+   share a grid may race to fill the same index; the values are pure, so
+   either write is the value. *)
+let grid t states inputs =
+  let keys = Array.make (Array.length states) None in
+  let traces = Array.make (Array.length inputs) None in
+  fun q i ->
+    let st = states.(q) in
+    let skey =
+      match keys.(q) with
+      | Some k -> k
+      | None ->
+        let k = state_key t st in
+        keys.(q) <- Some k;
+        k
+    in
+    let tr =
+      match traces.(i) with
+      | Some tr -> tr
+      | None ->
+        let tr = trace_for t inputs.(i) in
+        traces.(i) <- Some tr;
+        tr
+    in
+    cell t ~skey st tr

@@ -259,6 +259,86 @@ let test_engine_summary_paths () =
          inputs)
     mems
 
+(* --- Grid vs interpreter ------------------------------------------------- *)
+
+(* A registry workload's standard space, as the sampler and the daemon see
+   it: the default uncertainty set and at most Sampled.input_cap inputs. *)
+let standard_space (name, make) =
+  let w : Isa.Workload.t = make () in
+  let program, _ = Isa.Workload.program w in
+  let inputs = take Predictability.Sampled.input_cap w.Isa.Workload.inputs in
+  ( name,
+    program,
+    Array.of_list (Predictability.Harness.inorder_states program w),
+    Array.of_list inputs )
+
+(* Every cell twice, each pass in its own seeded random order, so
+   consecutive cells change state and input as the sampler's draws do and,
+   with the memo on, the second pass answers from it. *)
+let shuffled_cells seed states inputs =
+  let rng = Prelude.Rng.make seed in
+  let cells =
+    List.concat
+      (List.init (Array.length states) (fun q ->
+           List.init (Array.length inputs) (fun i -> (q, i))))
+  in
+  Array.of_list (Prelude.Rng.shuffle rng cells @ Prelude.Rng.shuffle rng cells)
+
+(* Each workload's grid runs interleaved, cell by cell, with a second
+   engine's grid over the next workload's program and inputs but the same
+   state array. The domain's scratch slot then changes owner between cells
+   and sees the same physical states under both engines. *)
+let test_grid_vs_interpreter () =
+  let spaces = Array.of_list (List.map standard_space Isa.Workload.registry) in
+  let n = Array.length spaces in
+  Array.iteri
+    (fun k (name, program, states, inputs) ->
+       let next, next_program, _, next_inputs = spaces.((k + 1) mod n) in
+       let grids =
+         List.map
+           (fun (name, program, inputs) ->
+              let exact =
+                Array.map
+                  (fun q -> Array.map (Pipeline.Inorder.time program q) inputs)
+                  states
+              in
+              (name, program, inputs, exact))
+           [ (name, program, inputs); (next, next_program, next_inputs) ]
+       in
+       List.iter
+         (fun memo ->
+            let sweeps =
+              List.mapi
+                (fun j (name, program, inputs, exact) ->
+                   let cell =
+                     Fastpath.Engine.grid (Fastpath.Engine.create ~memo program)
+                       states inputs
+                   in
+                   let order = shuffled_cells ((2 * k) + j) states inputs in
+                   (name, cell, exact, order))
+                grids
+            in
+            let steps =
+              List.fold_left
+                (fun m (_, _, _, order) -> max m (Array.length order))
+                0 sweeps
+            in
+            for step = 0 to steps - 1 do
+              List.iter
+                (fun (name, cell, exact, order) ->
+                   if step < Array.length order then begin
+                     let q, i = order.(step) in
+                     let fast = cell q i in
+                     if fast <> exact.(q).(i) then
+                       Alcotest.failf
+                         "%s (memo %b): cell (%d,%d): exact %d grid %d" name
+                         memo q i exact.(q).(i) fast
+                   end)
+                sweeps
+            done)
+         [ true; false ])
+    spaces
+
 (* --- Memo table ---------------------------------------------------------- *)
 
 let test_memo_hit_miss_counting () =
@@ -268,11 +348,12 @@ let test_memo_hit_miss_counting () =
   let inputs = Array.of_list (take 6 w.Isa.Workload.inputs) in
   let eng = Fastpath.Engine.create ~memo:true program in
   Alcotest.(check bool) "memoized" true (Fastpath.Engine.memoized eng);
-  let q = List.hd states in
+  let cell = Fastpath.Engine.grid eng (Array.of_list states) inputs in
+  let row () = Array.init (Array.length inputs) (cell 0) in
   let before = Prelude.Instrument.snapshot () in
-  let r1 = Fastpath.Engine.row eng q inputs in
+  let r1 = row () in
   let mid = Prelude.Instrument.snapshot () in
-  let r2 = Fastpath.Engine.row eng q inputs in
+  let r2 = row () in
   let after = Prelude.Instrument.snapshot () in
   Alcotest.(check bool) "rows agree" true (r1 = r2);
   Alcotest.(check int) "first pass: all misses" (Array.length inputs)
@@ -283,6 +364,43 @@ let test_memo_hit_miss_counting () =
     (after.Prelude.Instrument.memo_hits - mid.Prelude.Instrument.memo_hits);
   Alcotest.(check int) "second pass: no misses" 0
     (after.Prelude.Instrument.memo_misses - mid.Prelude.Instrument.memo_misses)
+
+(* A grid is [time] by index: the same draws through either, each on a
+   fresh engine, give the same values, memo hits and memo misses. *)
+let test_grid_memo_counts_match_time () =
+  List.iter
+    (fun entry ->
+       let name, program, states, inputs = standard_space entry in
+       let rng = Prelude.Rng.make 7 in
+       let draws =
+         List.init (3 * Array.length states * Array.length inputs) (fun _ ->
+             let q = Prelude.Rng.int rng (Array.length states) in
+             (q, Prelude.Rng.int rng (Array.length inputs)))
+       in
+       let counted cell =
+         let before = Prelude.Instrument.snapshot () in
+         let times = List.map (fun (q, i) -> cell q i) draws in
+         let after = Prelude.Instrument.snapshot () in
+         (times,
+          after.Prelude.Instrument.memo_hits
+          - before.Prelude.Instrument.memo_hits,
+          after.Prelude.Instrument.memo_misses
+          - before.Prelude.Instrument.memo_misses)
+       in
+       let by_time =
+         let eng = Fastpath.Engine.create program in
+         counted (fun q i -> Fastpath.Engine.time eng states.(q) inputs.(i))
+       in
+       let by_grid =
+         counted
+           (Fastpath.Engine.grid (Fastpath.Engine.create program) states inputs)
+       in
+       let times_t, hits_t, misses_t = by_time
+       and times_g, hits_g, misses_g = by_grid in
+       Alcotest.(check (list int)) (name ^ ": values") times_t times_g;
+       Alcotest.(check int) (name ^ ": memo hits") hits_t hits_g;
+       Alcotest.(check int) (name ^ ": memo misses") misses_t misses_g)
+    Isa.Workload.registry
 
 (* The serve daemon runs with a bounded memo; the bound must cap occupancy
    (FIFO eviction) without ever changing an answer. *)
@@ -644,24 +762,14 @@ let test_quantify_fast_inline_small_matrices () =
   let batched =
     Predictability.Quantify.evaluate_timer ~states ~inputs
       (Predictability.Quantify.Batched
-         { scalar = time; row = (fun q inputs -> Array.map (time q) inputs) })
+         { grid = (fun states inputs q i -> time states.(q) inputs.(i)) })
   in
   Alcotest.(check bool) "inline batched = scalar" true (exact = batched)
 
 let test_quantify_batched_validation () =
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  let bad_width =
-    Predictability.Quantify.Batched
-      { scalar = (fun _ _ -> 1); row = (fun _ _ -> [| 1 |]) }
-  in
-  Alcotest.(check bool) "wrong row width rejected" true
-    (raises (fun () ->
-         Predictability.Quantify.evaluate_timer ~states:[ 0 ] ~inputs:[ 0; 1 ]
-           bad_width));
   let negative =
-    Predictability.Quantify.Batched
-      { scalar = (fun _ _ -> -1); row = (fun _ inputs ->
-          Array.map (fun _ -> -1) inputs) }
+    Predictability.Quantify.Batched { grid = (fun _ _ _ _ -> -1) }
   in
   Alcotest.(check bool) "non-positive batched cell rejected" true
     (raises (fun () ->
@@ -670,7 +778,7 @@ let test_quantify_batched_validation () =
 
 (* The timer decides where rows run: scalar rows always go to the pool,
    batched rows stay on the calling domain below Quantify.inline_cells and
-   go to the pool from there on. Each timer call records its domain. *)
+   go to the pool from there on. Each timed cell records its domain. *)
 let test_timer_decides_schedule () =
   let caller = Domain.self () in
   let mu = Mutex.create () in
@@ -679,10 +787,9 @@ let test_timer_decides_schedule () =
   let scalar = Predictability.Quantify.Scalar (fun _ _ -> record (); 1) in
   let batched =
     Predictability.Quantify.Batched
-      { scalar = (fun _ _ -> 1);
-        row = (fun _ inputs -> record (); Array.map (fun _ -> 1) inputs) }
+      { grid = (fun _ _ _ _ -> record (); 1) }
   in
-  (* Two rows at jobs 4, [n] inputs each; returns (calls, calls on caller). *)
+  (* Two rows at jobs 4, [n] inputs each; returns (cells, cells on caller). *)
   let run timer n =
     seen := [];
     ignore
@@ -692,11 +799,12 @@ let test_timer_decides_schedule () =
   in
   let inline_cells = Predictability.Quantify.inline_cells in
   let pair = Alcotest.(pair int int) in
+  let small = (inline_cells - 1) / 2 and large = (inline_cells + 1) / 2 in
   Alcotest.check pair "scalar rows all on the pool" (6, 0) (run scalar 3);
-  Alcotest.check pair "small batched rows all on the caller" (2, 2)
-    (run batched ((inline_cells - 1) / 2));
-  Alcotest.check pair "large batched rows all on the pool" (2, 0)
-    (run batched ((inline_cells + 1) / 2))
+  Alcotest.check pair "small batched rows all on the caller"
+    (2 * small, 2 * small) (run batched small);
+  Alcotest.check pair "large batched rows all on the pool" (2 * large, 0)
+    (run batched large)
 
 (* --- Cache_metrics packed exploration ------------------------------------ *)
 
@@ -752,7 +860,10 @@ let () =
          Alcotest.test_case "matches interpreter (dynamic predictor)" `Quick
            test_engine_vs_interpreter_dynamic_predictor;
          Alcotest.test_case "summary paths agree" `Quick
-           test_engine_summary_paths ]);
+           test_engine_summary_paths;
+         Alcotest.test_case "grid matches interpreter (random order, memo \
+                             on/off, two engines)" `Quick
+           test_grid_vs_interpreter ]);
       ("memo",
        [ Alcotest.test_case "hit/miss counting" `Quick
            test_memo_hit_miss_counting;
@@ -761,6 +872,8 @@ let () =
          Alcotest.test_case "bound evicts FIFO" `Quick
            test_memo_bound_evicts_fifo;
          Alcotest.test_case "bound validated" `Quick test_memo_bound_validated;
+         Alcotest.test_case "grid counts the hits and misses of time" `Quick
+           test_grid_memo_counts_match_time;
          QCheck_alcotest.to_alcotest prop_memoized_agrees_with_unmemoized ]);
       ("scratch",
        [ Alcotest.test_case "dropped engines and states reclaimed" `Quick

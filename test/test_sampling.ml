@@ -629,6 +629,34 @@ let test_quantify_sample_counts_evals () =
   Alcotest.(check int) "timer called once per eval" r.Sampling.Sampler.evals
     !calls
 
+(* A warm sampled cell is one memo lookup. The second [sample] through one
+   timer draws the cells of the first, all of them memo hits; packing the
+   cache and predictor state into a key on each draw would cost about 850
+   minor words a cell. *)
+let warm_cell_words = 300.
+
+let test_quantify_sample_warm_cell_words () =
+  let w = Isa.Workload.find "bubble_sort" in
+  let program, _ = Isa.Workload.program w in
+  let states = Predictability.Harness.inorder_states program w in
+  let inputs =
+    Prelude.Listx.take Predictability.Sampled.input_cap w.Isa.Workload.inputs
+  in
+  let spec = { Sampling.Sampler.default with Sampling.Sampler.resamples = 0 } in
+  let timer = Predictability.Harness.inorder_timer program in
+  let sample () =
+    Predictability.Quantify.sample ~jobs:1 ~spec ~states ~inputs timer
+  in
+  ignore (sample ());
+  let before = Gc.minor_words () in
+  let r = sample () in
+  let per_cell =
+    (Gc.minor_words () -. before) /. float_of_int r.Sampling.Sampler.evals
+  in
+  if per_cell >= warm_cell_words then
+    Alcotest.failf "%.0f minor words per warm sampled cell (limit %.0f)"
+      per_cell warm_cell_words
+
 (* --- `predlab sample --format json`, byte for byte ------------------------ *)
 
 (* MD5 digests of the exact text `predlab sample --format json --seed N
@@ -722,7 +750,9 @@ let () =
       ("quantify-sample",
        [ Alcotest.test_case "validation" `Quick test_quantify_sample_validation;
          Alcotest.test_case "eval accounting" `Quick
-           test_quantify_sample_counts_evals ]);
+           test_quantify_sample_counts_evals;
+         Alcotest.test_case "warm cell under 300 minor words" `Quick
+           test_quantify_sample_warm_cell_words ]);
       ("pinned",
        [ Alcotest.test_case "sample --format json digests (seeds 1, 2)"
            `Quick test_sample_json_pinned ]) ]
