@@ -252,7 +252,7 @@ let wcet_config =
 (* Each kernel records its evaluation engine ("exact" | "fast") and the
    worker-domain count its closure uses — both land in the per-kernel JSON
    (schema v2), so trajectory points are comparable like for like. Kernels
-   that fan out on the default pool record the bench-wide [jobs]; everything
+   that fan out at the default width record the bench-wide [jobs]; everything
    else runs on the calling domain (jobs = 1). The FIG1 and RW.CACHE fast
    kernels keep the historical names — `predlab compare` then reports their
    speedup against the exact baseline — with `_exact` twins pinning the old

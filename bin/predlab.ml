@@ -507,14 +507,24 @@ let survey () =
 
 open Cmdliner
 
-let positive_int =
+(* [base] restricted to the values [ok] accepts; [message v] explains a
+   rejected [v]. *)
+let bounded base ok message =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok n -> Error (`Msg (Printf.sprintf "%d is not a positive job count" n))
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok v -> Error (`Msg (message v))
     | Error _ as e -> e
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_int =
+  bounded Arg.int (fun n -> n >= 1)
+    (Printf.sprintf "%d is not a positive job count")
+
+let positive_budget =
+  bounded Arg.float (fun d -> d > 0.)
+    (Printf.sprintf "%g is not a positive budget")
 
 let jobs_arg =
   Arg.(value
@@ -534,17 +544,12 @@ let format_arg =
                  compare)).")
 
 let deadline_arg =
-  let positive_float =
-    let parse s =
-      match Arg.conv_parser Arg.float s with
-      | Ok d when d > 0. -> Ok d
-      | Ok d -> Error (`Msg (Printf.sprintf "%g is not a positive deadline" d))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.float)
+  let positive_deadline =
+    bounded Arg.float (fun d -> d > 0.)
+      (Printf.sprintf "%g is not a positive deadline")
   in
   Arg.(value
-       & opt (some positive_float) None
+       & opt (some positive_deadline) None
        & info [ "deadline" ] ~docv:"SEC"
            ~doc:"Cooperative per-attempt budget in seconds: an experiment \
                  observed past it (at a parallel-loop checkpoint, or when \
@@ -553,13 +558,8 @@ let deadline_arg =
 
 let retries_arg =
   let nonneg_int =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 0 -> Ok n
-      | Ok n -> Error (`Msg (Printf.sprintf "%d is a negative retry count" n))
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
+    bounded Arg.int (fun n -> n >= 0)
+      (Printf.sprintf "%d is a negative retry count")
   in
   Arg.(value
        & opt nonneg_int 0
@@ -681,13 +681,8 @@ let stats_cmd =
 let compare_cmd =
   let tolerance_arg =
     let nonneg =
-      let parse s =
-        match Arg.conv_parser Arg.float s with
-        | Ok t when t >= 0. -> Ok t
-        | Ok t -> Error (`Msg (Printf.sprintf "%g is a negative tolerance" t))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Arg.conv_printer Arg.float)
+      bounded Arg.float (fun t -> t >= 0.)
+        (Printf.sprintf "%g is a negative tolerance")
     in
     Arg.(value
          & opt nonneg 50.
@@ -814,14 +809,8 @@ let sample_cmd =
   in
   let confidence_arg =
     let conf =
-      let parse s =
-        match Arg.conv_parser Arg.float s with
-        | Ok c when c > 0. && c < 1. -> Ok c
-        | Ok c ->
-          Error (`Msg (Printf.sprintf "%g is not a confidence in (0, 1)" c))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Arg.conv_printer Arg.float)
+      bounded Arg.float (fun c -> c > 0. && c < 1.)
+        (Printf.sprintf "%g is not a confidence in (0, 1)")
     in
     Arg.(value
          & opt conf Sampling.Sampler.default.Sampling.Sampler.confidence
@@ -885,13 +874,7 @@ let serve_cmd =
   in
   let queue_arg =
     let nonneg =
-      let parse s =
-        match Arg.conv_parser Arg.int s with
-        | Ok n when n >= 0 -> Ok n
-        | Ok n -> Error (`Msg (Printf.sprintf "%d is a negative bound" n))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Arg.conv_printer Arg.int)
+      bounded Arg.int (fun n -> n >= 0) (Printf.sprintf "%d is a negative bound")
     in
     Arg.(value
          & opt nonneg Serve.Daemon.default_queue
@@ -926,17 +909,8 @@ let serve_cmd =
                    indefinitely. 0 disables reaping (default 30).")
   in
   let drain_arg =
-    let positive_float =
-      let parse s =
-        match Arg.conv_parser Arg.float s with
-        | Ok d when d > 0. -> Ok d
-        | Ok d -> Error (`Msg (Printf.sprintf "%g is not a positive budget" d))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Arg.conv_printer Arg.float)
-    in
     Arg.(value
-         & opt positive_float Serve.Daemon.default_drain_s
+         & opt positive_budget Serve.Daemon.default_drain_s
          & info [ "drain" ] ~docv:"SEC"
              ~doc:"Graceful-drain budget: on shutdown/SIGTERM/SIGINT, how \
                    long in-flight connections get to finish before being \
@@ -975,17 +949,8 @@ let query_cmd =
                    scripts.")
   in
   let timeout_arg =
-    let positive_float =
-      let parse s =
-        match Arg.conv_parser Arg.float s with
-        | Ok d when d > 0. -> Ok d
-        | Ok d -> Error (`Msg (Printf.sprintf "%g is not a positive budget" d))
-        | Error _ as e -> e
-      in
-      Arg.conv (parse, Arg.conv_printer Arg.float)
-    in
     Arg.(value
-         & opt (some positive_float) None
+         & opt (some positive_budget) None
          & info [ "timeout" ] ~docv:"SEC"
              ~doc:"Round-trip budget against a connected daemon: if no \
                    complete response line arrives within SEC seconds \

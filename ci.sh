@@ -19,10 +19,10 @@ dune exec bin/predlab.exe -- run EQ4 --jobs 2
 dune exec predbench/e2e.exe -- --workload paper_all --seconds 0 --seed 1
 dune exec bench/main.exe -- --only RW.CACHE
 # Determinism gate: the timer decides where matrix rows run (batched rows
-# inline or on the pool, scalar rows on the pool), and sampled cells run
-# on the pool through one shared engine grid, so the experiments on those
-# paths must print the same report at --jobs 1 and --jobs 4 once the
-# [wall ...] timing line and the (jobs=N) summary are removed.
+# inline or fanned out, scalar rows fanned out), and sampled cells fan out
+# through one shared engine grid, so the experiments on those paths must
+# print the same report at --jobs 1 and --jobs 4 once the [wall ...]
+# timing line and the (jobs=N) summary are removed.
 for id in FIG1 FIG1.FAST EXT.EXTENT TAB1.R2 EXT.ATLAS DEF.SAMPLE DEF.CERT; do
   for jobs in 1 4; do
     dune exec bin/predlab.exe -- run "$id" --jobs "$jobs" > "_build/det-$jobs.raw"
@@ -72,15 +72,17 @@ done
 dune exec bin/predlab.exe -- run DEF.SAMPLE --jobs 2
 dune exec bin/predlab.exe -- sample --check --jobs 2 clamp popcount
 # Cross-jobs identity end to end: at a fixed seed the CLI's sample document
-# over the whole registry is the same bytes at --jobs 1 and --jobs 2, once
-# the report's own top-level "jobs" echo is removed.
-for jobs in 1 2; do
+# over the whole registry is the same bytes at --jobs 1, 2 and 8 (more
+# domains than cores), once the report's own top-level "jobs" echo is
+# removed.
+for jobs in 1 2 8; do
   dune exec bin/predlab.exe -- sample --format json --seed 3 --jobs "$jobs" \
     > "_build/sample-seed3-$jobs.raw"
   sed '/^  "jobs": [0-9]*,$/d' "_build/sample-seed3-$jobs.raw" \
     > "_build/sample-seed3-$jobs.json"
 done
 cmp _build/sample-seed3-1.json _build/sample-seed3-2.json
+cmp _build/sample-seed3-1.json _build/sample-seed3-8.json
 dune exec bench/main.exe -- --only DEF.SAMPLE
 
 # Certifier gates. DEF.CERT is the oracle that lets a static certificate

@@ -67,7 +67,7 @@ val bracket :
   shapes:(string * Isa.Ast.shape) list -> entry:string -> unit ->
   result * result
 (** [(upper_result, lower_result)]: the UB and LB walks, run in sequence
-    on the calling domain (each takes microseconds, far less than a pool
+    on the calling domain (each takes microseconds, far less than a domain
     spawn). *)
 
 val classified_fraction : result -> float option

@@ -34,7 +34,7 @@ let search ?jobs ~check ~ways ~max_probes kind =
       let probes = List.init j (fun i -> i + 1) in
       let states = initial_states kind ~ways ~probes in
       (* Each initial state is pushed through the probe sequence
-         independently, on the domain pool. *)
+         independently, so the states fan out across domains. *)
       let finals = Prelude.Parallel.map ?jobs (fun s -> final_state s probes) states in
       (* One eval per state-transition explored (state x probe), matching
          Quantify's cells-based accounting of kernel work. *)

@@ -3,7 +3,7 @@
     The paper's thesis is that predictability is a property of behaviour
     under sources of uncertainty; [predlab chaos] applies that discipline
     to the laboratory itself. A campaign derives a seed-deterministic
-    fault plan over every experiment's injection site (plus the pool's
+    fault plan over every experiment's injection site (plus the fan-out's
     ["parallel.spawn"] site), runs the registry under supervision twice —
     once with {e persistent} faults and no retries, once with {e
     transient} (fire-once) faults and one retry — and checks that the

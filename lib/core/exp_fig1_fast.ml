@@ -8,8 +8,8 @@
    experiments and the benchmark suite time cells through
    Harness.inorder_timer instead of the interpreter. Its matrices (at
    most 144 cells) are under Quantify.inline_cells, so they run on the
-   calling domain at every job count; test_fastpath pins the pool path of
-   batched rows. *)
+   calling domain at every job count; test_fastpath pins the fanned-out
+   path of batched rows. *)
 
 type row = {
   name : string;

@@ -194,7 +194,7 @@ let run_supervised ?jobs ?(supervision = default_supervision) ?journal
   let writer = Option.map Journal.create journal in
   let finish () = Option.iter Journal.close writer in
   (* Experiments are independent (no toplevel mutable state anywhere in
-     lib/), so they fan out across the domain pool. map_result keeps entry
+     lib/), so they fan out across domains. map_result keeps entry
      order and Harness.try_timed reads domain-local counter deltas, so the
      outcomes and the per-experiment instrumentation are the same for any
      job count (modulo wall clock). *)

@@ -15,7 +15,7 @@ let profile ~states ~inputs ~time ~cuts () =
   let level (label, n_states, n_inputs) =
     let state_count = clamp n_states (List.length states) in
     let input_count = clamp n_inputs (List.length inputs) in
-    (* The cuts are tiny: a pool spawn per cut would dominate them. *)
+    (* The cuts are tiny: a fan-out per cut would dominate them. *)
     let matrix =
       Quantify.evaluate ~jobs:1
         ~states:(Prelude.Listx.take state_count states)

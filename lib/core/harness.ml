@@ -67,9 +67,9 @@ let elapsed f =
 (* Run [f] with its wall clock and the calling domain's counter deltas
    bracketed; the bracket closes on the error path too, so a crashed
    experiment attempt still reports how long it took to fail. Deltas, not
-   reset-then-snapshot: resetting would wipe counts a pool worker domain
-   has accumulated for other tasks and leave a residue behind that
-   Pool.drain would credit to the caller a second time. *)
+   reset-then-snapshot: resetting would wipe counts a domain has
+   accumulated for other tasks, and on a Parallel helper it would leave a
+   residue behind that the join credits to the caller a second time. *)
 let try_timed f =
   let before = Prelude.Instrument.snapshot () in
   let started = Prelude.Instrument.now () in

@@ -55,15 +55,15 @@ type ('q, 'i) timer =
 
 val inline_cells : int
 (** Batched matrices with fewer cells than this run on the calling
-    domain, where the pool's per-call domain spawn would dominate. *)
+    domain, where a fan-out's per-call helper spawns would dominate. *)
 
 val evaluate_timer :
   ?jobs:int -> states:'q list -> inputs:'i list -> ('q, 'i) timer -> matrix
 (** {!evaluate} generalised over {!timer}; with a [Scalar] timer it is
     exactly {!evaluate}. The timer decides the schedule: a [Batched]
     matrix under {!inline_cells} runs on the calling domain, every other
-    matrix on [jobs] worker domains. The matrix is bit-identical either
-    way. Validation runs in place on each freshly produced row — a single
+    matrix fans out over up to [jobs] domains, the calling domain
+    included. The matrix is bit-identical either way. Validation runs in place on each freshly produced row — a single
     pass, no second O(Q*I) sweep. *)
 
 val sample :

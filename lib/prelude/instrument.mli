@@ -6,11 +6,12 @@
     each run and attributes the {e delta} to that experiment.
 
     Counters live in domain-local storage and grow monotonically — there is
-    deliberately no reset, so a pool worker interleaving several
-    experiments' tasks never wipes or double-counts another task's
-    contribution. An experiment running on one worker domain never sees the
-    counts of an experiment running concurrently on another; on pool drain
-    each worker's total is credited once to the submitting domain, so
+    deliberately no reset, so a domain interleaving several experiments'
+    tasks never wipes or double-counts another task's contribution. An
+    experiment running on one domain never sees the counts of an experiment
+    running concurrently on another. A {!Parallel} helper domain starts at
+    zero, and when its fan-out joins, its total is credited once to the
+    calling domain, after the caller's own share of the tasks has run, so
     aggregate counts on the caller stay consistent with the per-experiment
     deltas. *)
 

@@ -1,7 +1,7 @@
-(* A fixed-size pool of worker domains fed from a mutex/condition-protected
-   task queue. Pools are created per top-level call and joined before it
-   returns: predictability experiments are batch jobs, so keeping idle
-   domains alive between calls would only complicate process exit. *)
+(* Fork-join over OCaml 5 domains. Each top-level call spawns its helper
+   domains, works beside them, and joins them before it returns:
+   predictability experiments are batch jobs, so keeping idle domains alive
+   between calls would only complicate process exit. *)
 
 let process_default = Atomic.make 0 (* 0 = fall back to the runtime's advice *)
 
@@ -21,12 +21,15 @@ let resolve_jobs = function
   | Some n when n < 1 -> invalid_arg "Parallel: jobs must be >= 1"
   | Some n -> n
 
-(* True on pool worker domains. A task running on a worker already owns one
-   slot of the width the caller asked for, so any Parallel call it makes
-   runs sequentially in place instead of spawning a nested pool: live
-   domains stay bounded by [jobs + 1] no matter how deeply the hot paths
-   nest (run_supervised -> exp_atlas -> Quantify.evaluate), well clear of the
-   OCaml runtime's total-domain cap, and cores are never oversubscribed. *)
+(* True on a domain that runs slices of a fan-out: every helper, and the
+   caller while it works beside at least one helper. A task there already
+   owns one slot of the width the caller asked for, so any Parallel call it
+   makes runs alone in place instead of fanning out again: live domains
+   stay bounded by [jobs] no matter how deeply the hot paths nest
+   (run_supervised -> exp_atlas -> Quantify.evaluate), well clear of the
+   OCaml runtime's total-domain cap, and cores are never oversubscribed. A
+   caller running alone leaves the flag unset, so a jobs-1 outer loop still
+   lets an inner [~jobs:8] call fan out. *)
 let on_worker = Domain.DLS.new_key (fun () -> false)
 
 (* --- Cooperative deadlines --------------------------------------------- *)
@@ -44,7 +47,7 @@ let () =
 (* (start time, budget) of the innermost deadlined task running on this
    domain, if any. Purely cooperative: OCaml domains cannot be preempted,
    so overruns are detected at checkpoints ([check_deadline], which the
-   slice loops below hit between elements) and post-hoc when a task
+   slice loop below hits before every element) and post-hoc when a task
    returns. *)
 let task_deadline = Domain.DLS.new_key (fun () -> None)
 
@@ -71,96 +74,8 @@ let with_deadline ~deadline_s f =
          raise (Deadline_exceeded { elapsed_s; deadline_s });
        v)
 
-module Pool = struct
-  type t = {
-    mu : Mutex.t;
-    work_ready : Condition.t;
-    queue : (unit -> unit) Queue.t;
-    mutable closed : bool;
-    mutable domains : unit Domain.t list;
-    (* Instrument counts accumulated by worker domains, flushed back to the
-       submitting domain on [drain] so per-experiment attribution survives
-       nested parallelism. *)
-    worker_evals : int Atomic.t;
-    worker_cells : int Atomic.t;
-    worker_memo_hits : int Atomic.t;
-    worker_memo_misses : int Atomic.t;
-  }
+(* --- The fork-join loop ------------------------------------------------ *)
 
-  let rec work_loop t =
-    Mutex.lock t.mu;
-    while Queue.is_empty t.queue && not t.closed do
-      Condition.wait t.work_ready t.mu
-    done;
-    if Queue.is_empty t.queue then Mutex.unlock t.mu (* closed and drained *)
-    else begin
-      let task = Queue.pop t.queue in
-      Mutex.unlock t.mu;
-      task ();
-      work_loop t
-    end
-
-  let worker t =
-    Domain.DLS.set on_worker true;
-    work_loop t;
-    (* Worker domains start with zero counters and nothing on this domain
-       ever resets them (Harness.try_timed only reads deltas), so the final
-       snapshot is exactly the work this pool's tasks did here. *)
-    let counts = Instrument.snapshot () in
-    ignore (Atomic.fetch_and_add t.worker_evals counts.Instrument.evals);
-    ignore (Atomic.fetch_and_add t.worker_cells counts.Instrument.cells);
-    ignore
-      (Atomic.fetch_and_add t.worker_memo_hits counts.Instrument.memo_hits);
-    ignore
-      (Atomic.fetch_and_add t.worker_memo_misses counts.Instrument.memo_misses)
-
-  (* Spawn up to [size] workers. [Domain.spawn] can fail (the runtime caps
-     live domains at ~128, and the "parallel.spawn" fault site simulates
-     exactly that); a failure after [k] successful spawns used to leak
-     those [k] domains blocked on the queue forever and poison the caller —
-     now the pool simply degrades to the achieved width [k], and the
-     already-spawned domains are the pool. Width 0 is a valid result; the
-     callers below fall back to running inline. *)
-  let create size =
-    let t =
-      { mu = Mutex.create (); work_ready = Condition.create ();
-        queue = Queue.create (); closed = false; domains = [];
-        worker_evals = Atomic.make 0; worker_cells = Atomic.make 0;
-        worker_memo_hits = Atomic.make 0; worker_memo_misses = Atomic.make 0 }
-    in
-    (try
-       for _ = 1 to size do
-         Faults.point "parallel.spawn";
-         t.domains <- Domain.spawn (fun () -> worker t) :: t.domains
-       done
-     with _ -> ());
-    t
-
-  let width t = List.length t.domains
-
-  let submit t task =
-    Mutex.lock t.mu;
-    Queue.push task t.queue;
-    Condition.signal t.work_ready;
-    Mutex.unlock t.mu
-
-  (* Close the queue, wait for every submitted task to finish, and credit
-     the workers' instrument counts to the calling domain. *)
-  let drain t =
-    Mutex.lock t.mu;
-    t.closed <- true;
-    Condition.broadcast t.work_ready;
-    Mutex.unlock t.mu;
-    List.iter Domain.join t.domains;
-    Instrument.add_evals (Atomic.get t.worker_evals);
-    Instrument.add_cells (Atomic.get t.worker_cells);
-    Instrument.add_memo_hits (Atomic.get t.worker_memo_hits);
-    Instrument.add_memo_misses (Atomic.get t.worker_memo_misses)
-end
-
-(* Tasks must never raise (a raising task would kill its worker domain and
-   strand the queue), so failures are parked here and re-raised once the
-   pool has drained. *)
 type failure = { exn : exn; backtrace : Printexc.raw_backtrace }
 
 exception Multiple_failures of { count : int; first : exn }
@@ -173,65 +88,82 @@ let () =
            count (Printexc.to_string first))
     | _ -> None)
 
-(* Execute [body i] for all [0 <= i < count]. Indices are grouped into
-   contiguous slices (a few per worker, so cheap bodies don't pay a mutex
-   round-trip per element while load imbalance still smooths out), and each
-   slice becomes one pool task. Every failure that occurs is collected (new
-   work stops being started after the first); a single failure re-raises
-   transparently, several raise [Multiple_failures] carrying the count and
-   the earliest-recorded exception. This is the only code that creates,
-   feeds and drains a [Pool]: every entry point below comes through it. *)
+let credit (c : Instrument.counts) =
+  Instrument.add_evals c.evals;
+  Instrument.add_cells c.cells;
+  Instrument.add_memo_hits c.memo_hits;
+  Instrument.add_memo_misses c.memo_misses
+
+(* Execute [body i] for all [0 <= i < count], [count >= 1]. Indices are
+   grouped into [min count (jobs * 8)] contiguous slices: a few per runner,
+   so cheap bodies don't pay an atomic round-trip per element while load
+   imbalance still smooths out. The caller spawns [min jobs slices - 1]
+   helpers, then every runner, the caller included, claims slices from one
+   atomic cursor until it passes the end. [check_deadline] runs before
+   every element (a no-op on helpers, which have no deadline armed), so the
+   caller's own budget cuts a fan-out short. Failures are caught, recorded
+   and stop new elements from starting; once every helper has joined, a
+   single failure re-raises transparently, several raise
+   [Multiple_failures] with the count and the earliest-recorded exception.
+   With no helper (jobs 1, one element, a nested call, or every spawn
+   failed) the caller runs the same loop alone. *)
 let run_tasks ~jobs ~count body =
-  if count > 0 then begin
-    let sequential () =
-      for i = 0 to count - 1 do
-        check_deadline ();
-        body i
-      done
-    in
-    if jobs <= 1 || count = 1 || Domain.DLS.get on_worker then sequential ()
-    else begin
-      let slices = Stdlib.min count (jobs * 8) in
-      let slice_len = (count + slices - 1) / slices in
-      let pool = Pool.create (Stdlib.min jobs slices) in
-      if Pool.width pool = 0 then begin
-        (* Every spawn failed: degrade to the calling domain. *)
-        Pool.drain pool;
-        sequential ()
-      end
-      else begin
-        let failed = Atomic.make 0 in
-        let failures_mu = Mutex.create () in
-        let failures = ref [] in
-        let record f =
-          Mutex.lock failures_mu;
-          failures := f :: !failures;
-          Mutex.unlock failures_mu;
-          Atomic.incr failed
-        in
-        for s = 0 to slices - 1 do
-          let lo = s * slice_len in
-          let hi = Stdlib.min count (lo + slice_len) - 1 in
-          if lo <= hi then
-            Pool.submit pool (fun () ->
-                try
-                  for i = lo to hi do
-                    if Atomic.get failed = 0 then body i
-                  done
-                with exn ->
-                  record { exn; backtrace = Printexc.get_raw_backtrace () })
-        done;
-        Pool.drain pool;
-        match List.rev !failures with
-        | [] -> ()
-        | [ { exn; backtrace } ] -> Printexc.raise_with_backtrace exn backtrace
-        | { exn; backtrace } :: _ as all ->
-          Printexc.raise_with_backtrace
-            (Multiple_failures { count = List.length all; first = exn })
-            backtrace
-      end
+  let slices = Stdlib.min count (jobs * 8) in
+  let slice_len = (count + slices - 1) / slices in
+  let cursor = Atomic.make 0 and failures = Atomic.make [] in
+  let failed () = Atomic.get failures <> [] in
+  let rec record f =
+    let seen = Atomic.get failures in
+    if not (Atomic.compare_and_set failures seen (f :: seen)) then record f
+  in
+  let rec run () =
+    let lo = Atomic.fetch_and_add cursor 1 * slice_len in
+    if lo < count && not (failed ()) then begin
+      (try
+         for i = lo to Stdlib.min count (lo + slice_len) - 1 do
+           if not (failed ()) then begin
+             check_deadline ();
+             body i
+           end
+         done
+       with exn -> record { exn; backtrace = Printexc.get_raw_backtrace () });
+      run ()
     end
-  end
+  in
+  (* A helper starts with zero counters, so its final snapshot is exactly
+     its share of the work; the caller credits it after its own loop, once
+     any [Harness.try_timed] bracket opened inside a task has closed. *)
+  let helper () =
+    Domain.DLS.set on_worker true;
+    run ();
+    Instrument.snapshot ()
+  in
+  (* [Domain.spawn] can fail (the runtime caps live domains at ~128, and
+     the "parallel.spawn" fault site simulates exactly that): spawning
+     stops, and the helpers already running plus the caller do the work. *)
+  let rec spawn k =
+    if k = 0 then []
+    else
+      match Faults.point "parallel.spawn"; Domain.spawn helper with
+      | d -> d :: spawn (k - 1)
+      | exception _ -> []
+  in
+  (match
+     if Domain.DLS.get on_worker then [] else spawn (Stdlib.min jobs slices - 1)
+   with
+   | [] -> run ()
+   | helpers ->
+     Domain.DLS.set on_worker true;
+     run ();
+     Domain.DLS.set on_worker false;
+     List.iter (fun d -> credit (Domain.join d)) helpers);
+  match List.rev (Atomic.get failures) with
+  | [] -> ()
+  | [ { exn; backtrace } ] -> Printexc.raise_with_backtrace exn backtrace
+  | { exn; backtrace } :: _ as all ->
+    Printexc.raise_with_backtrace
+      (Multiple_failures { count = List.length all; first = exn })
+      backtrace
 
 let map_array ?jobs f xs =
   let jobs = resolve_jobs jobs in
@@ -277,23 +209,3 @@ let map_result ?jobs ?deadline_s f xs =
    | Some d when d <= 0. -> invalid_arg "Parallel.map_result: deadline must be > 0"
    | _ -> ());
   map ?jobs (guarded ~deadline_s f) (List.mapi (fun i x -> (i, x)) xs)
-
-let fold ?jobs ?(chunk = 16) ~map:fm ~combine ~init items =
-  let chunk = Stdlib.max 1 chunk in
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  if n = 0 then init
-  else begin
-    let chunks = (n + chunk - 1) / chunk in
-    let partial c =
-      let lo = c * chunk in
-      let hi = Stdlib.min n (lo + chunk) - 1 in
-      let acc = ref (fm arr.(lo)) in
-      for i = lo + 1 to hi do
-        acc := combine !acc (fm arr.(i))
-      done;
-      !acc
-    in
-    let partials = map_array ?jobs partial (Array.init chunks Fun.id) in
-    Array.fold_left combine init partials
-  end

@@ -1,12 +1,14 @@
-(** A small fixed-size domain pool for data-parallel evaluation.
+(** Fork-join data parallelism over OCaml 5 domains.
 
     Every headline quantity of the paper (Pr/SIPr/IIPr, exhaustive
     BCET/WCET, the evict/fill metrics) is a min/max over an exhaustive
     [Q * I] or state-space enumeration whose elements are independent, so
     they parallelise trivially across OCaml 5 domains. This module provides
     the one primitive those hot paths share: evaluate a pure function over
-    a sequence on a fixed number of worker domains, with results delivered
-    in input order regardless of scheduling.
+    a sequence on up to [jobs] domains, with results delivered in input
+    order regardless of scheduling. A call spawns [min jobs slices - 1]
+    helper domains and works beside them, claiming contiguous slices of the
+    input from one atomic cursor; it joins them before it returns.
 
     Guarantees:
     - {b deterministic ordering}: [map ~jobs f xs] returns exactly
@@ -14,25 +16,26 @@
       never by completion order;
     - {b exception transparency}: if exactly one task raises, that
       exception (with its backtrace) is re-raised in the calling domain
-      after all workers have stopped; if several tasks fail concurrently,
+      after every helper has stopped; if several tasks fail concurrently,
       none is silently dropped — {!Multiple_failures} carries the count
       and the earliest-recorded exception ({!map_result} instead isolates
       failures per task and never raises from a task);
-    - {b bounded width}: at most [jobs] domains run tasks at any time
-      (including the calling domain's contribution via [Domain.join]);
-    - {b no nested pools}: a call made from inside a pool task runs
-      sequentially on that worker domain (same deterministic result), so
-      arbitrarily nested data-parallelism never spawns more than
-      [jobs + 1] live domains — the OCaml runtime caps total domains at
-      roughly 128, which naive pool-per-worker nesting would exceed;
+    - {b bounded width}: at most [jobs] domains run tasks at any time, the
+      calling domain included;
+    - {b no nested fan-out}: a call made from inside a task of a fan-out
+      runs alone on the domain it was made on (same deterministic result),
+      so arbitrarily nested data-parallelism never keeps more than [jobs]
+      domains live — the OCaml runtime caps total domains at roughly 128,
+      which a fan-out per nested call would exceed. A call from a caller
+      that runs alone (at [jobs = 1], say) may still fan out;
     - {b graceful degradation}: if [Domain.spawn] fails partway through
-      pool creation (domain cap reached, or the ["parallel.spawn"]
-      {!Faults} site armed), the call degrades to the achieved worker
-      count — down to running inline on the calling domain — instead of
-      failing and leaking the domains already spawned.
+      (domain cap reached, or the ["parallel.spawn"] {!Faults} site
+      armed), the call runs on the helpers already spawned plus the
+      calling domain — down to the calling domain alone — instead of
+      failing.
 
-    The pool is built only on [Domain], [Mutex] and [Condition] from the
-    standard library — no external dependencies. *)
+    Built only on [Domain] and [Atomic] from the standard library — no
+    external dependencies. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
@@ -47,7 +50,7 @@ val default_jobs : unit -> int
     [recommended_jobs ()] if never set. *)
 
 exception Multiple_failures of { count : int; first : exn }
-(** Raised by {!map}/{!map_array}/{!fold} when more than one task failed:
+(** Raised by {!map}/{!map_array} when more than one task failed:
     every failure is collected (no new work starts after the first), and
     the count plus the earliest-recorded exception are surfaced — with the
     earliest failure's backtrace — instead of silently discarding all but
@@ -76,8 +79,9 @@ val with_deadline : deadline_s:float -> (unit -> 'a) -> 'a
     @raise Invalid_argument if [deadline_s <= 0]. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs = List.map f xs], computed on [min jobs (length xs)]
-    worker domains. [jobs = 1] runs sequentially in the calling domain. *)
+(** [map ~jobs f xs = List.map f xs], computed on at most [min jobs
+    (length xs)] domains, the calling domain included. At [jobs = 1] the
+    calling domain runs every element itself and spawns nothing. *)
 
 val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!map}; result index [i] holds [f xs.(i)]. *)
@@ -99,17 +103,7 @@ val map_result :
     running, not from submission): an overrun detected at a
     {!check_deadline} checkpoint or when the task returns yields [Error]
     with {!Deadline_exceeded}. Results are in input order for any [jobs],
-    and the pool, its width degradation, nested-call inlining and counter
-    crediting are {!map}'s. Tasks pass through the ["parallel.task"]
+    and the fan-out, its width degradation, nested-call inlining and
+    counter crediting are {!map}'s. Tasks pass through the ["parallel.task"]
     {!Faults} site.
     @raise Invalid_argument if [deadline_s <= 0]. *)
-
-val fold :
-  ?jobs:int -> ?chunk:int -> map:('a -> 'b) -> combine:('b -> 'b -> 'b) ->
-  init:'b -> 'a list -> 'b
-(** Chunked parallel map-reduce: equivalent to
-    [List.fold_left (fun acc x -> combine acc (map x)) init xs] whenever
-    [combine] is associative and [init] is a left identity for the result.
-    Items are split into chunks of [chunk] (default 16) consecutive
-    elements; chunks are mapped in parallel and partial results are
-    combined strictly in input order, so the result is deterministic. *)

@@ -716,7 +716,7 @@ let test_jobs_determinism () =
   let program, _ = Isa.Workload.program w in
   (* The first grid (60 cells) stays on the calling domain; the second, 18
      states x all 120 inputs, reaches Quantify.inline_cells, so its batched
-     rows run on the pool. *)
+     rows fan out. *)
   let big_states = Predictability.Harness.inorder_states ~count:17 program w in
   Alcotest.(check bool) "second grid reaches the pool" true
     (List.length big_states * List.length w.Isa.Workload.inputs
@@ -754,7 +754,7 @@ let test_jobs_determinism () =
 
 let test_quantify_fast_inline_small_matrices () =
   (* A small batched matrix stays on the calling domain; its values must
-     equal the scalar matrix's, which the pool evaluates. *)
+     equal the scalar matrix's, which fans out. *)
   let time q i = (10 * q) + i in
   let states = [ 1; 2; 3 ] in
   let inputs = [ 1; 2; 3; 4 ] in
@@ -776,35 +776,54 @@ let test_quantify_batched_validation () =
          Predictability.Quantify.evaluate_timer ~states:[ 0 ] ~inputs:[ 0; 1 ]
            negative))
 
-(* The timer decides where rows run: scalar rows always go to the pool,
-   batched rows stay on the calling domain below Quantify.inline_cells and
-   go to the pool from there on. Each timed cell records its domain. *)
+(* The timer decides where rows run: scalar rows always fan out, batched
+   rows stay on the calling domain below Quantify.inline_cells and fan out
+   from there on. A fan-out runs on the caller beside its helpers, so each
+   fanned-out cell records its domain and then waits (at most 5 s) until a
+   second domain has recorded: neither row can finish alone, and both
+   runners show up. *)
 let test_timer_decides_schedule () =
-  let caller = Domain.self () in
+  let caller = (Domain.self () :> int) in
   let mu = Mutex.create () in
-  let seen = ref [] in
-  let record () = Mutex.protect mu (fun () -> seen := Domain.self () :: !seen) in
-  let scalar = Predictability.Quantify.Scalar (fun _ _ -> record (); 1) in
-  let batched =
-    Predictability.Quantify.Batched
-      { grid = (fun _ _ _ _ -> record (); 1) }
+  let cells = ref 0 and domains = ref [] in
+  let distinct () = Mutex.protect mu (fun () -> List.length !domains) in
+  let record ~wait =
+    let me = (Domain.self () :> int) in
+    Mutex.protect mu (fun () ->
+        incr cells;
+        if not (List.mem me !domains) then domains := me :: !domains);
+    let deadline = Prelude.Mono.now () +. 5. in
+    while wait && distinct () < 2 && Prelude.Mono.now () < deadline do
+      Domain.cpu_relax ()
+    done
   in
-  (* Two rows at jobs 4, [n] inputs each; returns (cells, cells on caller). *)
+  let scalar =
+    Predictability.Quantify.Scalar (fun _ _ -> record ~wait:true; 1)
+  in
+  let batched ~wait =
+    Predictability.Quantify.Batched
+      { grid = (fun _ _ _ _ -> record ~wait; 1) }
+  in
+  (* Two rows at jobs 4, [n] inputs each; returns (cells, distinct domains,
+     whether the caller is one of them). *)
   let run timer n =
-    seen := [];
+    cells := 0;
+    domains := [];
     ignore
       (Predictability.Quantify.evaluate_timer ~jobs:4 ~states:[ 0; 1 ]
          ~inputs:(List.init n Fun.id) timer);
-    (List.length !seen, List.length (List.filter (( = ) caller) !seen))
+    (!cells, List.length !domains, List.mem caller !domains)
   in
   let inline_cells = Predictability.Quantify.inline_cells in
-  let pair = Alcotest.(pair int int) in
+  let triple = Alcotest.(triple int int bool) in
   let small = (inline_cells - 1) / 2 and large = (inline_cells + 1) / 2 in
-  Alcotest.check pair "scalar rows all on the pool" (6, 0) (run scalar 3);
-  Alcotest.check pair "small batched rows all on the caller"
-    (2 * small, 2 * small) (run batched small);
-  Alcotest.check pair "large batched rows all on the pool" (2 * large, 0)
-    (run batched large)
+  Alcotest.check triple "scalar rows fan out, the caller beside a helper"
+    (6, 2, true) (run scalar 3);
+  Alcotest.check triple "small batched rows all on the caller"
+    (2 * small, 1, true) (run (batched ~wait:false) small);
+  Alcotest.check triple
+    "large batched rows fan out, the caller beside a helper"
+    (2 * large, 2, true) (run (batched ~wait:true) large)
 
 (* --- Cache_metrics packed exploration ------------------------------------ *)
 

@@ -1,5 +1,6 @@
-(* Tests for the parallel T_p(q,i) evaluation engine: Parallel.map/fold
-   semantics, exception propagation out of worker domains, and bit-identical
+(* Tests for the parallel T_p(q,i) evaluation engine: Parallel.map
+   semantics, the caller's share of a fan-out and its deadline, exception
+   propagation out of helper domains, and bit-identical
    results at any job count for the quantities built on top of it
    (Quantify, Cache_metrics, Experiments.run_supervised). *)
 
@@ -16,18 +17,6 @@ let test_map_array_ordering () =
   let doubled = Prelude.Parallel.map_array ~jobs:4 (fun x -> 2 * x) xs in
   Alcotest.(check (array int)) "ordered results"
     (Array.map (fun x -> 2 * x) xs) doubled
-
-let test_fold_chunked () =
-  let xs = List.init 257 (fun i -> i + 1) in
-  let expected = List.fold_left (fun acc x -> acc + (x * x)) 0 xs in
-  List.iter
-    (fun (jobs, chunk) ->
-       Alcotest.(check int)
-         (Printf.sprintf "sum of squares (jobs=%d chunk=%d)" jobs chunk)
-         expected
-         (Prelude.Parallel.fold ~jobs ~chunk ~map:(fun x -> x * x)
-            ~combine:( + ) ~init:0 xs))
-    [ (1, 16); (2, 1); (4, 7); (8, 64) ]
 
 let test_exception_propagation () =
   Alcotest.check_raises "worker exception reaches the caller"
@@ -65,13 +54,13 @@ let test_quantify_exception_through_pool () =
          (Predictability.Quantify.evaluate ~jobs:2 ~states:[ 0; 1 ]
             ~inputs:[ 0 ] ~time ()))
 
-(* Regression: Parallel calls made from inside pool tasks used to spawn a
-   fresh pool per worker, so nesting multiplied live domains (jobs^2 here,
-   jobs^3 via run_supervised -> exp_atlas -> Quantify.evaluate) past the
-   OCaml runtime's ~128-domain cap, killing the run with Domain.spawn
-   failures. Nested calls now run sequentially on the worker, so this holds
-   total domains at [jobs] while still returning List.map-identical
-   results. *)
+(* Regression: Parallel calls made from inside fanned-out tasks used to
+   spawn a fresh pool per worker, so nesting multiplied live domains
+   (jobs^2 here, jobs^3 via run_supervised -> exp_atlas ->
+   Quantify.evaluate) past the OCaml runtime's ~128-domain cap, killing the
+   run with Domain.spawn failures. Nested calls now run alone on the domain
+   they were made on, so this holds total domains at [jobs] while still
+   returning List.map-identical results. *)
 let test_nested_maps_bounded () =
   let jobs = 16 in
   let inner i = List.init 64 (fun j -> (i * 131) lxor j) in
@@ -86,12 +75,59 @@ let test_nested_maps_bounded () =
   let deep =
     Prelude.Parallel.map ~jobs
       (fun i ->
-         Prelude.Parallel.fold ~jobs ~chunk:8 ~map:Fun.id ~combine:( + ) ~init:0
-           (Prelude.Parallel.map ~jobs succ (inner i)))
+         List.fold_left ( + ) 0
+           (Prelude.Parallel.map ~jobs Fun.id
+              (Prelude.Parallel.map ~jobs succ (inner i))))
       (List.init 24 Fun.id)
   in
   Alcotest.(check (list int)) "triple nesting sums"
     (List.map (fun row -> List.fold_left ( + ) 0 row) expected) deep
+
+(* The caller is one of the runners: two tasks at jobs 2 each wait (at
+   most 5 s) until two distinct domains have recorded, so neither can
+   finish before the other has started, and the caller must be one of the
+   two. *)
+let test_fanout_runs_on_caller () =
+  let mu = Mutex.create () in
+  let seen = ref [] in
+  let domains () = Mutex.protect mu (fun () -> List.sort_uniq compare !seen) in
+  let task _ =
+    Mutex.protect mu (fun () ->
+        seen := (Domain.self () :> int) :: !seen);
+    let deadline = Prelude.Mono.now () +. 5. in
+    while List.length (domains ()) < 2 && Prelude.Mono.now () < deadline do
+      Domain.cpu_relax ()
+    done
+  in
+  ignore (Prelude.Parallel.map ~jobs:2 task [ 0; 1 ]);
+  let ran = domains () in
+  Alcotest.(check int) "two domains ran the tasks" 2 (List.length ran);
+  Alcotest.(check bool) "the caller is one of them" true
+    (List.mem (Domain.self () :> int) ran)
+
+(* The caller checks its own deadline before every element it runs, so an
+   overrun stops the fan-out from starting new elements instead of being
+   noticed only after all of them ran. *)
+let test_fanout_stops_at_deadline () =
+  let started = Atomic.make 0 in
+  let spin_ms x =
+    Atomic.incr started;
+    let t0 = Prelude.Mono.now () in
+    while Prelude.Mono.now () -. t0 < 0.001 do
+      ignore (Sys.opaque_identity x)
+    done;
+    x
+  in
+  (match
+     Prelude.Parallel.with_deadline ~deadline_s:0.02 (fun () ->
+         Prelude.Parallel.map ~jobs:2 spin_ms (List.init 200 Fun.id))
+   with
+   | _ -> Alcotest.fail "the fan-out outran its deadline unnoticed"
+   | exception Prelude.Parallel.Deadline_exceeded _ -> ());
+  let n = Atomic.get started in
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer than 150 of 200 elements started (%d)" n)
+    true (n < 150)
 
 let test_invalid_jobs () =
   Alcotest.check_raises "jobs must be >= 1"
@@ -280,13 +316,16 @@ let () =
     [ ("engine",
        [ QCheck_alcotest.to_alcotest prop_map_matches_list_map;
          Alcotest.test_case "map_array ordering" `Quick test_map_array_ordering;
-         Alcotest.test_case "chunked fold" `Quick test_fold_chunked;
          Alcotest.test_case "exception propagation" `Quick
            test_exception_propagation;
          Alcotest.test_case "exception through Quantify pool" `Quick
            test_quantify_exception_through_pool;
          Alcotest.test_case "nested maps stay domain-bounded" `Quick
            test_nested_maps_bounded;
+         Alcotest.test_case "fan-out runs on the caller" `Quick
+           test_fanout_runs_on_caller;
+         Alcotest.test_case "a fan-out stops at the caller's deadline" `Quick
+           test_fanout_stops_at_deadline;
          Alcotest.test_case "invalid job counts" `Quick test_invalid_jobs ]);
       ("determinism",
        [ Alcotest.test_case "Quantify.predictability jobs 1/2/8" `Quick
