@@ -41,23 +41,44 @@ let[@inline] next t =
    within that prefix every residue appears equally often. Rejection
    probability is [(2^63 mod bound) / 2^63] < 1/2, so the loop terminates
    quickly with probability 1; for bounds that are small or a power of two
-   it never rejects and the emitted sequence matches the old one. *)
+   it never rejects and the emitted sequence matches the old one.
+
+   [v - r] is the multiple of [b] at or below [v], where [r = v mod b]; it
+   exceeds [max_int - (b - 1)] iff [v] lies in the final partial cycle. *)
+let[@inline] rejected v r b =
+  Int64.sub v r > Int64.sub Int64.max_int (Int64.sub b 1L)
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive"
   else begin
     let b = Int64.of_int bound in
-    (* v - r is the multiple of b at or below v; it exceeds
-       max_int - (b - 1) iff v lies in the final partial cycle. *)
-    let last_full = Int64.sub Int64.max_int (Int64.sub b 1L) in
     let r = ref 0L in
     let reject = ref true in
     while !reject do
       let v = Int64.logand (next t) Int64.max_int in
       r := Int64.rem v b;
-      reject := Int64.sub v !r > last_full
+      reject := rejected v !r b
     done;
     Int64.to_int !r
   end
+
+(* [int] in bulk. The state stays in a local across the loop and is stored
+   once at the end: through [next], every draw would load and store it. *)
+let fill t bound dst =
+  let n = Array.length dst in
+  if n > 0 && bound <= 0 then invalid_arg "Rng.fill: bound must be positive";
+  let b = Int64.of_int bound in
+  let s = ref (get t) and k = ref 0 in
+  while !k < n do
+    s := Int64.add !s golden;
+    let v = Int64.logand (mix !s) Int64.max_int in
+    let r = Int64.rem v b in
+    if not (rejected v r b) then begin
+      dst.(!k) <- Int64.to_int r;
+      incr k
+    end
+  done;
+  Bytes.set_int64_le t 0 !s
 
 let bool t = Int64.logand (next t) 1L = 1L
 

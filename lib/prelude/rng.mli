@@ -18,6 +18,15 @@ val int : t -> int -> int
     bootstrap loops that draw millions of indices create no garbage.
     @raise Invalid_argument if [bound <= 0]. *)
 
+val fill : t -> int -> int array -> unit
+(** [fill t bound dst] writes into [dst], in index order, the values that
+    [Array.length dst] successive [int t bound] calls would return, and
+    leaves [t] where those calls would: same stream, same rejection rule.
+    The bootstrap loops draw each resample's indices with one call, which
+    loads and stores the state once instead of once per draw. An empty
+    [dst] leaves [t] unchanged. Allocates nothing.
+    @raise Invalid_argument if [bound <= 0] and [dst] is not empty. *)
+
 val bool : t -> bool
 val float : t -> float -> float
 

@@ -75,13 +75,15 @@ let extremes_ratio times =
   float_of_int mn /. float_of_int mx
 
 (* [extremes_ratio] of one with-replacement resample of [times] drawn
-   from [rng], kept as a running min and max over the draws in draw order
-   instead of a materialised resample array. *)
-let[@inline] resampled_ratio rng times =
+   from [rng]: the drawn indices land in [idx] (one buffer per estimate,
+   [Array.length times] long), and the min and max run over them instead
+   of over a materialised resample array. *)
+let[@inline] resampled_ratio rng idx times =
   let n = Array.length times in
+  Prelude.Rng.fill rng n idx;
   let mn = ref max_int and mx = ref 0 in
-  for _ = 1 to n do
-    let x = times.(Prelude.Rng.int rng n) in
+  for k = 0 to n - 1 do
+    let x = times.(idx.(k)) in
     if x < !mn then mn := x;
     if x > !mx then mx := x
   done;
@@ -90,8 +92,9 @@ let[@inline] resampled_ratio rng times =
 let ratio_estimate ~rng ~resamples ~confidence times =
   let n = Array.length times in
   if n = 0 then invalid_arg "Sampler.ratio_estimate: empty sample array";
+  let idx = Array.make n 0 in
   Estimate.of_replicates ~confidence ~n ~value:(extremes_ratio times)
-    (Array.init resamples (fun _ -> resampled_ratio rng times))
+    (Array.init resamples (fun _ -> resampled_ratio rng idx times))
 
 (* min over strata of (min/max within the stratum) — the sampled analogue
    of Defs. 4 and 5, with the stratum playing the fixed input (SIPr) or
@@ -107,10 +110,11 @@ let stratified_min_ratio strata =
    strata in order, so it draws what resampling every stratum up front
    would, in the same order, and folds the same minimum. *)
 let stratified_estimate ~rng ~resamples ~confidence strata =
+  let idx = Array.map (fun s -> Array.make (Array.length s) 0) strata in
   let replicate _ =
     let acc = ref 1. in
     for s = 0 to Array.length strata - 1 do
-      acc := Float.min !acc (resampled_ratio rng strata.(s))
+      acc := Float.min !acc (resampled_ratio rng idx.(s) strata.(s))
     done;
     !acc
   in
@@ -126,38 +130,45 @@ let run ?jobs ~spec ~n_states ~n_inputs ~time () =
   let cell_master = Prelude.Rng.split_key root key_cells in
   let sipr_master = Prelude.Rng.split_key root key_sipr in
   let iipr_master = Prelude.Rng.split_key root key_iipr in
-  (* Monte-Carlo (q, i) draws for Pr, the mean and the tails: cell k's
-     coordinates come from the stream keyed by k, never from worker
-     identity, and Parallel.map_array delivers results by input index —
-     the two halves of the cross-jobs determinism guarantee. *)
+  (* Every coordinate is drawn here, on the caller, from a keyed stream:
+     Monte-Carlo cell k (for Pr, the mean and the tails) draws q, then i,
+     from stream k of [cell_master]; SIPr enumerates every input i and
+     draws [per_stratum] states from stream i of [sipr_master]; IIPr
+     enumerates every state q and draws inputs from stream q of
+     [iipr_master]. No draw depends on worker identity. *)
+  let ps = spec.per_stratum in
+  let cell_coords =
+    Array.init spec.n_cells (fun k ->
+        let rng = Prelude.Rng.split_key cell_master k in
+        let q = Prelude.Rng.int rng n_states in
+        (q, Prelude.Rng.int rng n_inputs))
+  in
+  let strata_coords master n_strata bound coord =
+    Array.concat
+      (List.init n_strata (fun s ->
+           let rng = Prelude.Rng.split_key master s in
+           Array.init ps (fun _ -> coord s (Prelude.Rng.int rng bound))))
+  in
+  (* One fan-out evaluates every coordinate, and Parallel.map_array
+     delivers the times by input index — the two halves of the cross-jobs
+     determinism guarantee. *)
+  let times =
+    Prelude.Parallel.map_array ?jobs
+      (fun (q, i) -> check_time (time q i))
+      (Array.concat
+         [ cell_coords;
+           strata_coords sipr_master n_inputs n_states (fun i q -> (q, i));
+           strata_coords iipr_master n_states n_inputs (fun q i -> (q, i)) ])
+  in
   let cells =
-    Prelude.Parallel.map_array ?jobs
-      (fun k ->
-         let rng = Prelude.Rng.split_key cell_master k in
-         let q = Prelude.Rng.int rng n_states in
-         let i = Prelude.Rng.int rng n_inputs in
-         { q; i; t = check_time (time q i) })
-      (Array.init spec.n_cells Fun.id)
+    Array.mapi (fun k (q, i) -> { q; i; t = times.(k) }) cell_coords
   in
-  let cell_times = Array.map (fun c -> c.t) cells in
-  (* Stratified draws: SIPr enumerates every input and samples states
-     within it; IIPr enumerates every state and samples inputs. *)
-  let sipr_strata =
-    Prelude.Parallel.map_array ?jobs
-      (fun i ->
-         let rng = Prelude.Rng.split_key sipr_master i in
-         Array.init spec.per_stratum (fun _ ->
-             check_time (time (Prelude.Rng.int rng n_states) i)))
-      (Array.init n_inputs Fun.id)
+  let cell_times = Array.sub times 0 spec.n_cells in
+  let strata at n_strata =
+    Array.init n_strata (fun s -> Array.sub times (at + (s * ps)) ps)
   in
-  let iipr_strata =
-    Prelude.Parallel.map_array ?jobs
-      (fun q ->
-         let rng = Prelude.Rng.split_key iipr_master q in
-         Array.init spec.per_stratum (fun _ ->
-             check_time (time q (Prelude.Rng.int rng n_inputs))))
-      (Array.init n_states Fun.id)
-  in
+  let sipr_strata = strata spec.n_cells n_inputs in
+  let iipr_strata = strata (spec.n_cells + (n_inputs * ps)) n_states in
   (* Every estimate below is a sequential fold over data already fixed
      above, with its own keyed bootstrap stream: jobs cannot affect it. *)
   let pr =
@@ -187,9 +198,7 @@ let run ?jobs ~spec ~n_states ~n_inputs ~time () =
   let wcet_tail = tail Tail.Upper key_boot_wcet in
   { spec; n_states; n_inputs; cells; pr; sipr; iipr; mean; bcet_tail;
     wcet_tail;
-    evals =
-      spec.n_cells + (n_inputs * spec.per_stratum)
-      + (n_states * spec.per_stratum) }
+    evals = Array.length times }
 
 let spec_to_json spec =
   Prelude.Json.Obj

@@ -55,10 +55,13 @@ type result = {
 val run :
   ?jobs:int -> spec:spec -> n_states:int -> n_inputs:int ->
   time:(int -> int -> int) -> unit -> result
-(** Draw and evaluate the sampled cells on [?jobs] worker domains
-    (default {!Prelude.Parallel.default_jobs}) and compute every
-    estimate. [time q i] must be positive and a pure function of its
-    indices.
+(** Draw the sampled cells and compute every estimate. Every coordinate
+    (the Monte-Carlo cells and both stratified passes) is drawn on the
+    calling domain from its keyed stream, then one
+    {!Prelude.Parallel.map_array} on [?jobs] domains (default
+    {!Prelude.Parallel.default_jobs}) evaluates all of them. [time q i]
+    must be positive and a pure function of its indices; it is checked
+    inside the fan-out.
     @raise Invalid_argument on non-positive dimensions, invalid spec
     fields, or a non-positive execution time. *)
 
@@ -68,9 +71,10 @@ val ratio_estimate :
 (** Pr's estimator: the min/max ratio of the times, with a basic bootstrap
     interval over [resamples] with-replacement resamples drawn from [rng].
     Equal to {!Estimate.bootstrap} with the min/max-ratio statistic, bit
-    for bit, but each resample is a running min and max over its draws
-    rather than an array. @raise Invalid_argument on an empty array or
-    negative [resamples]. *)
+    for bit, but each resample's indices are drawn with one
+    {!Prelude.Rng.fill} into a buffer reused across resamples, and the
+    resample is a running min and max over them rather than an array.
+    @raise Invalid_argument on an empty array or negative [resamples]. *)
 
 val stratified_estimate :
   rng:Prelude.Rng.t -> resamples:int -> confidence:float ->

@@ -1,11 +1,11 @@
 (* Tests for the sampling layer and the Rng.int bias fix: chi-square
    uniformity (the old modulo reduction must fail it, the rejection
    sampler must pass), sequence compatibility for small bounds, keyed
-   substreams and known-answer streams, histogram edge cases, quantiles,
-   CI constructions, tail extrapolation, allocation-free resampling
-   against the materialising reference, the sampler's
-   determinism/containment contract, and `predlab sample --format json`
-   pinned by digest. *)
+   substreams and known-answer streams, bulk draws against single draws,
+   histogram edge cases, quantiles, CI constructions, tail extrapolation,
+   allocation-free resampling against the materialising reference, the
+   sampler's determinism/containment contract and its single fan-out, and
+   `predlab sample --format json` pinned by digest. *)
 
 (* --- The old biased Rng.int, reconstructed locally ----------------------- *)
 
@@ -163,6 +163,43 @@ let test_split_key_known_answers () =
     [ 0; 1; 2; 3; 7; 8; 37; 1000; -5; max_int; min_int ];
   Alcotest.(check int) "parent after, not advanced" (ref_low61 pstate)
     (Prelude.Rng.int parent low61)
+
+(* [fill t bound dst] must write what [Array.length dst] calls of [int t
+   bound] return and leave [t] where they leave it; the next raw words
+   (a power-of-two bound never rejects) pin the state. The two largest
+   bounds reject about a quarter and, just above 2^63 / 3, about a third
+   of raw draws. *)
+let test_fill_matches_int () =
+  let raw rng = List.init 8 (fun _ -> Prelude.Rng.int rng low61) in
+  List.iter
+    (fun bound ->
+       List.iter
+         (fun len ->
+            let what = Printf.sprintf "bound %d, %d draws" bound len in
+            let seed = bound lxor len in
+            let filled = Prelude.Rng.make seed
+            and called = Prelude.Rng.make seed in
+            let dst = Array.make len (-1) in
+            Prelude.Rng.fill filled bound dst;
+            let expected =
+              Array.init len (fun _ -> Prelude.Rng.int called bound)
+            in
+            Alcotest.(check (array int)) what expected dst;
+            Alcotest.(check (list int)) (what ^ ": state after") (raw called)
+              (raw filled))
+         [ 0; 1; 7; 384; 1000 ])
+    [ 1; 6; 32; 384; (3 * (1 lsl 60)) - 11; (2 * (max_int / 3)) + 2 ];
+  let rng = Prelude.Rng.make 3 in
+  Prelude.Rng.fill rng 0 [||];
+  Alcotest.(check (list int)) "an empty dst leaves the state unchanged"
+    (raw (Prelude.Rng.make 3)) (raw rng);
+  List.iter
+    (fun bound ->
+       Alcotest.check_raises
+         (Printf.sprintf "bound %d" bound)
+         (Invalid_argument "Rng.fill: bound must be positive") (fun () ->
+             Prelude.Rng.fill rng bound (Array.make 3 0)))
+    [ 0; -3 ]
 
 (* --- Keyed substreams ---------------------------------------------------- *)
 
@@ -520,6 +557,37 @@ let test_sampler_seed_sensitivity () =
   Alcotest.(check bool) "shifted seed draws different cells" true
     ((run 1).Sampling.Sampler.cells <> (run 2).Sampling.Sampler.cells)
 
+(* A run evaluates every cell in one fan-out, so at jobs 2 the cells run on
+   exactly two domains, the caller and one helper; a fan-out per pass would
+   bring a helper of its own for each pass. Every cell spins about 1 ms, so
+   each helper takes work, and waits (at most 5 s) until two domains have
+   recorded, so the second domain is certain to show. *)
+let test_sampler_one_fanout () =
+  let mu = Mutex.create () in
+  let seen = ref [] in
+  let domains () = Mutex.protect mu (fun () -> List.sort_uniq compare !seen) in
+  let time q i =
+    Mutex.protect mu (fun () -> seen := (Domain.self () :> int) :: !seen);
+    let deadline = Prelude.Mono.now () +. 5. in
+    while List.length (domains ()) < 2 && Prelude.Mono.now () < deadline do
+      Domain.cpu_relax ()
+    done;
+    let t0 = Prelude.Mono.now () in
+    while Prelude.Mono.now () -. t0 < 0.001 do
+      Domain.cpu_relax ()
+    done;
+    1 + q + i
+  in
+  let spec =
+    { Sampling.Sampler.default with
+      Sampling.Sampler.n_cells = 4; per_stratum = 4; resamples = 0 }
+  in
+  ignore (Sampling.Sampler.run ~jobs:2 ~spec ~n_states:2 ~n_inputs:2 ~time ());
+  let ran = domains () in
+  Alcotest.(check int) "two domains evaluated the cells" 2 (List.length ran);
+  Alcotest.(check bool) "the caller is one of them" true
+    (List.mem (Domain.self () :> int) ran)
+
 (* Exhaustive ground truth for a dense times matrix. *)
 let exhaustive_of rows =
   let m = Predictability.Quantify.of_rows rows in
@@ -705,7 +773,9 @@ let () =
          Alcotest.test_case "split known answers" `Quick
            test_split_known_answers;
          Alcotest.test_case "split_key known answers" `Quick
-           test_split_key_known_answers ]);
+           test_split_key_known_answers;
+         Alcotest.test_case "fill = repeated int, values and state" `Quick
+           test_fill_matches_int ]);
       ("split-key",
        [ Alcotest.test_case "reproducible" `Quick test_split_key_reproducible;
          Alcotest.test_case "distinct keys decorrelate" `Quick
@@ -744,6 +814,8 @@ let () =
            test_sampler_jobs_determinism;
          Alcotest.test_case "seed sensitivity" `Quick
            test_sampler_seed_sensitivity;
+         Alcotest.test_case "one fan-out per run" `Quick
+           test_sampler_one_fanout;
          QCheck_alcotest.to_alcotest prop_sampled_ci_contains_exhaustive;
          Alcotest.test_case "fixed-seed mean containment" `Quick
            test_fixed_seed_mean_containment ]);
