@@ -100,10 +100,10 @@ let serve_pool_fixture =
          queue = Serve.Daemon.default_queue; idle_s = None; drain_s = 2.;
          max_frame = Serve.Daemon.default_max_frame }
      in
-     let daemon = Domain.spawn (fun () -> Serve.Daemon.run config) in
+     let daemon = Serve.Daemon.start config in
      let clients =
        List.init 4 (fun _ ->
-           match Serve.Client.connect ~retry_for_s:5. socket with
+           match Serve.Client.connect socket with
            | Ok c -> c
            | Error m -> failwith ("bench: serve fixture connect: " ^ m))
      in
@@ -113,14 +113,7 @@ let serve_pool_fixture =
           if not !torn then begin
             torn := true;
             List.iter Serve.Client.close clients;
-            (match Serve.Client.connect ~retry_for_s:1. socket with
-             | Ok c ->
-               ignore
-                 (Serve.Client.request ~timeout_s:5. c
-                    (Serve.Protocol.request_to_json Serve.Protocol.Shutdown));
-               Serve.Client.close c
-             | Error _ -> ());
-            Domain.join daemon
+            Serve.Daemon.stop daemon
           end);
      at_exit (fun () -> !serve_pool_cleanup ());
      clients)
@@ -240,14 +233,7 @@ let rejection_bound = (1 lsl 60) * 3 - 11
 let sampled_entry =
   ("bubble_sort", List.assoc "bubble_sort" Isa.Workload.registry)
 
-let wcet_config =
-  { Analysis.Wcet.icache =
-      Analysis.Wcet.Cached_fetch
-        { config = Predictability.Harness.icache_config;
-          hit = Predictability.Harness.icache_hit;
-          miss = Predictability.Harness.icache_miss };
-    dmem = Analysis.Wcet.Range_data { best = 1; worst = 8 };
-    unroll = true; budget = None }
+let wcet_config = Predictability.Harness.cached_analysis ~unroll:true
 
 (* Each kernel records its evaluation engine ("exact" | "fast") and the
    worker-domain count its closure uses — both land in the per-kernel JSON

@@ -158,6 +158,8 @@ hits=$(sed -n 's/^ *"memo_hits": \([0-9]*\),*$/\1/p' _build/serve-stats.json)
 misses=$(sed -n 's/^ *"memo_misses": \([0-9]*\),*$/\1/p' _build/serve-stats.json)
 test "$hits" -ge 1
 test "$misses" -ge 1
+# No close in the daemon found its descriptor already closed.
+grep -q '"fd_errors": 0' _build/serve-stats.json
 # Byte-identity: the daemon's sample/lint result documents are the CLI's.
 "$PREDLAB" query --socket "$SOCK" sample clamp > _build/serve-sample.json
 "$PREDLAB" sample --jobs 2 --format json clamp > _build/cli-sample.json
@@ -217,6 +219,7 @@ test "$frame_status" -eq 1
 grep -q "frame exceeds 4096 bytes" _build/serve-oversized.err
 "$PREDLAB" query --socket "$SOCK2" stats > _build/serve-frame-stats.json
 grep -q '"oversized_frames": 1' _build/serve-frame-stats.json
+grep -q '"fd_errors": 0' _build/serve-frame-stats.json
 kill -TERM "$FRAME_PID"
 wait "$FRAME_PID"
 test ! -e "$SOCK2"

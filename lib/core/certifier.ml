@@ -15,23 +15,11 @@ let flat_machine =
         dmem = Analysis.Wcet.Flat_data 1; unroll = false; budget = None };
     dynamic_predictor = false }
 
-(* Same analysis configurations as the FIG1.SOUND oracle: LRU
-   instruction cache from an unknown initial state, ranged data
-   accesses, first-iteration unrolling on the UB side only. *)
+(* Same analysis configurations as the FIG1.SOUND oracle. *)
 let cached_machine =
-  let config unroll =
-    { Analysis.Wcet.icache =
-        Analysis.Wcet.Cached_fetch
-          { config = Harness.icache_config; hit = Harness.icache_hit;
-            miss = Harness.icache_miss };
-      dmem =
-        Analysis.Wcet.Range_data
-          { best = Harness.dcache_hit; worst = Harness.dcache_miss };
-      unroll; budget = None }
-  in
   { Analysis.Certify.label = "cached";
-    upper = config true;
-    lower = config false;
+    upper = Harness.cached_analysis ~unroll:true;
+    lower = Harness.cached_analysis ~unroll:false;
     dynamic_predictor = false }
 
 let machines = [ flat_machine; cached_machine ]

@@ -16,15 +16,8 @@ let unroll_study () =
   in
   let wcet = Quantify.wcet matrix in
   let ub unroll =
-    let config =
-      { Analysis.Wcet.icache =
-          Analysis.Wcet.Cached_fetch
-            { config = Harness.icache_config; hit = Harness.icache_hit;
-              miss = Harness.icache_miss };
-        dmem = Analysis.Wcet.Range_data { best = Harness.dcache_hit; worst = Harness.dcache_miss };
-        unroll; budget = None }
-    in
-    (Analysis.Wcet.bound config Analysis.Wcet.Upper ~shapes ~entry:"main").Analysis.Wcet.bound
+    (Analysis.Wcet.bound (Harness.cached_analysis ~unroll) Analysis.Wcet.Upper
+       ~shapes ~entry:"main").Analysis.Wcet.bound
   in
   let ub_plain = ub false and ub_unrolled = ub true in
   (wcet, ub_plain, ub_unrolled)

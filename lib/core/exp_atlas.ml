@@ -6,16 +6,6 @@
    comparable: loop-free and counted-loop kernels sit near the top,
    data-dependent search/sort near the bottom. *)
 
-let analysis_config unroll =
-  { Analysis.Wcet.icache =
-      Analysis.Wcet.Cached_fetch
-        { config = Harness.icache_config; hit = Harness.icache_hit;
-          miss = Harness.icache_miss };
-    dmem =
-      Analysis.Wcet.Range_data
-        { best = Harness.dcache_hit; worst = Harness.dcache_miss };
-    unroll; budget = None }
-
 type row = {
   name : string;
   pr : Prelude.Ratio.t;
@@ -35,8 +25,8 @@ let measure (name, make) =
     Quantify.evaluate_timer ~states ~inputs (Harness.inorder_timer program)
   in
   let ub_result, lb_result =
-    Analysis.Wcet.bracket ~upper:(analysis_config true)
-      ~lower:(analysis_config false) ~shapes ~entry:"main" ()
+    Analysis.Wcet.bracket ~upper:(Harness.cached_analysis ~unroll:true)
+      ~lower:(Harness.cached_analysis ~unroll:false) ~shapes ~entry:"main" ()
   in
   let ub = ub_result.Analysis.Wcet.bound
   and lb = lb_result.Analysis.Wcet.bound in

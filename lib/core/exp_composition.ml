@@ -28,15 +28,7 @@ let analysis_config machine =
   | Flat_machine ->
     { Analysis.Wcet.icache = Analysis.Wcet.Flat_fetch 1;
       dmem = Analysis.Wcet.Flat_data 1; unroll = true; budget = None }
-  | Cached_machine ->
-    { Analysis.Wcet.icache =
-        Analysis.Wcet.Cached_fetch
-          { config = Harness.icache_config; hit = Harness.icache_hit;
-            miss = Harness.icache_miss };
-      dmem =
-        Analysis.Wcet.Range_data
-          { best = Harness.dcache_hit; worst = Harness.dcache_miss };
-      unroll = true; budget = None }
+  | Cached_machine -> Harness.cached_analysis ~unroll:true
 
 let component_of machine (w : Isa.Workload.t) =
   let _, shapes = Isa.Workload.program w in

@@ -13,18 +13,9 @@ let run () =
       (Harness.inorder_timer program)
   in
   let bcet = Quantify.bcet matrix and wcet = Quantify.wcet matrix in
-  let analysis_config kind =
-    { Analysis.Wcet.icache =
-        Analysis.Wcet.Cached_fetch
-          { config = Harness.icache_config; hit = Harness.icache_hit;
-            miss = Harness.icache_miss };
-      dmem = Analysis.Wcet.Range_data { best = Harness.dcache_hit; worst = Harness.dcache_miss };
-      unroll = kind = Analysis.Wcet.Upper;
-      budget = None }
-  in
   let ub_result, lb_result =
-    Analysis.Wcet.bracket ~upper:(analysis_config Analysis.Wcet.Upper)
-      ~lower:(analysis_config Analysis.Wcet.Lower) ~shapes ~entry:"main" ()
+    Analysis.Wcet.bracket ~upper:(Harness.cached_analysis ~unroll:true)
+      ~lower:(Harness.cached_analysis ~unroll:false) ~shapes ~entry:"main" ()
   in
   let ub = ub_result.Analysis.Wcet.bound
   and lb = lb_result.Analysis.Wcet.bound in

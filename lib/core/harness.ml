@@ -51,6 +51,13 @@ let inorder_timer ?(memo = true) program =
   let eng = Fastpath.Engine.create ~memo program in
   Quantify.Batched { grid = Fastpath.Engine.grid eng }
 
+let cached_analysis ~unroll =
+  { Analysis.Wcet.icache =
+      Analysis.Wcet.Cached_fetch
+        { config = icache_config; hit = icache_hit; miss = icache_miss };
+    dmem = Analysis.Wcet.Range_data { best = dcache_hit; worst = dcache_miss };
+    unroll; budget = None }
+
 let outcomes program inputs = List.map (Isa.Exec.run program) inputs
 
 let ratio_string r =

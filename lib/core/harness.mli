@@ -40,6 +40,12 @@ val inorder_timer :
     the exact reference. [memo] (default true) enables the engine's [T_p]
     memo table. *)
 
+val cached_analysis : unroll:bool -> Analysis.Wcet.config
+(** The static analysis of the cached in-order machine: instruction
+    fetches through an LRU {!icache_config} from an unknown initial
+    state, data accesses charged {!dcache_hit}..{!dcache_miss}, no
+    domain budget. The usual bracket unrolls on the UB side only. *)
+
 val outcomes : Isa.Program.t -> Isa.Exec.input list -> Isa.Exec.outcome list
 (** Functional executions of all inputs (shared by trace-driven models). *)
 

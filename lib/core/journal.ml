@@ -94,7 +94,7 @@ let fsync_dir dir =
   | exception Unix.Unix_error _ -> ()
   | fd ->
     Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      ~finally:(fun () -> Prelude.Lineio.close fd)
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
 (* Atomic, durable document write: temp file in the same directory, data
@@ -122,7 +122,7 @@ let load path =
   | exception Unix.Unix_error _ -> Ok []
   | fd ->
     Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      ~finally:(fun () -> Prelude.Lineio.close fd)
       (fun () ->
          let reader = Prelude.Lineio.reader fd in
          let rec parse acc lineno =

@@ -131,3 +131,16 @@ let write_line ?deadline_s fd line =
           | n -> go (off + n))
   in
   go 0
+
+(* A close that cannot fail the caller. [EBADF] is the one error that
+   means a bug rather than a bad peer: the descriptor was already closed,
+   and if its number had been handed out again in between, this close
+   shut somebody else's file. So it is counted, process-wide. *)
+let bad = Atomic.make 0
+
+let bad_closes () = Atomic.get bad
+
+let close fd =
+  try Unix.close fd with
+  | Unix.Unix_error (Unix.EBADF, _, _) -> Atomic.incr bad
+  | Unix.Unix_error _ -> ()

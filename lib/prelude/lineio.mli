@@ -10,7 +10,8 @@
     decides what a silent peer means (reap it, retry, give up).
 
     Used by the serve daemon's connection loop, the serve client's
-    response reader and the journal replayer. *)
+    response reader and the journal replayer, which also close their
+    descriptors through {!close}. *)
 
 type line =
   [ `Line of string     (** a complete ['\n']-terminated line, within the cap *)
@@ -48,3 +49,14 @@ val write_line :
     draining its socket yields [Error `Timeout] instead of parking the
     writer forever. A broken pipe / reset is [Error `Closed].
     @raise Invalid_argument if [deadline_s <= 0]. *)
+
+val close : Unix.file_descr -> unit
+(** Close [fd], swallowing any error, as a best-effort close must. An
+    [EBADF] means [fd] was already closed — a double close, which shuts
+    another file if the number was reused in between — so it is counted
+    in {!bad_closes}. *)
+
+val bad_closes : unit -> int
+(** How many {!close} calls in this process, on any domain, found their
+    descriptor already closed. Zero in a correct program; the serve
+    daemon reports it as [fd_errors] in its [stats]. *)

@@ -34,74 +34,48 @@ let temp_socket =
       (Printf.sprintf "predlab-serve-chaos-%d-%d.sock" (Unix.getpid ()) !n)
 
 (* The daemon under test runs in-process on its own domain — same binary,
-   same engines, real sockets. The spawned thunk swallows nothing: any
-   escape from Daemon.run is the campaign's headline violation. *)
+   same engines, real sockets — and is listening when [start] returns.
+   Nothing is swallowed: a raise from [start] or [stop] is the campaign's
+   headline violation, and so is a close, anywhere in the process, that
+   found its descriptor already closed. *)
 let with_daemon config f =
-  let daemon =
-    Domain.spawn (fun () ->
-        match Daemon.run config with
-        | () -> None
-        | exception exn -> Some (Printexc.to_string exn))
+  let died exn =
+    { subject = "daemon"; detail = "daemon died: " ^ Printexc.to_string exn }
   in
-  let body =
-    match f () with
-    | violations -> violations
-    | exception exn ->
-      [ { subject = "campaign";
-          detail = "driver raised " ^ Printexc.to_string exn } ]
-  in
-  (* Idempotent: if the body already shut the daemon down, the connect
-     simply fails and the join returns immediately. Retries until the
-     daemon acknowledges: under conns=1/queue=0 the shutdown connection
-     itself can be shed while the worker is still noticing the previous
-     client's hangup — an unacknowledged (shed) shutdown would leave the
-     daemon running and the join below blocked forever. *)
-  let rec shutdown deadline =
-    if Prelude.Mono.now () < deadline then
-      match Client.connect ~retry_for_s:0.5 config.Daemon.socket with
-      | Error _ -> ()
-      | Ok c ->
-        let acked =
-          match
-            Client.request ~timeout_s:5. c
-              (Protocol.request_to_json Protocol.Shutdown)
-          with
-          | Ok response ->
-            Json.member "ok" response = Some (Json.Bool true)
-          | Error _ -> false
-        in
-        Client.close c;
-        if not acked then begin
-          Prelude.Mono.sleep 0.02;
-          shutdown deadline
-        end
-  in
-  shutdown (Prelude.Mono.now () +. 10.);
-  match Domain.join daemon with
-  | None -> body
-  | Some detail ->
-    { subject = "daemon"; detail = "daemon died: " ^ detail } :: body
+  let bad_closes = Lineio.bad_closes () in
+  match Daemon.start config with
+  | exception exn -> [ died exn ]
+  | daemon ->
+    let body =
+      match f () with
+      | violations -> violations
+      | exception exn ->
+        [ { subject = "campaign";
+            detail = "driver raised " ^ Printexc.to_string exn } ]
+    in
+    let body =
+      match Daemon.stop daemon with
+      | () -> body
+      | exception exn -> died exn :: body
+    in
+    match Lineio.bad_closes () - bad_closes with
+    | 0 -> body
+    | n ->
+      body
+      @ [ { subject = "fd_errors";
+            detail =
+              Printf.sprintf "%d close(s) found the descriptor already closed"
+                n } ]
 
 (* --- Raw-socket clients (the adversarial ones) --------------------------- *)
 
-(* Retries across the daemon's bind window (temp-bind then rename means
-   the path appears atomically, but a beat after the domain spawns). *)
 let raw_connect socket =
-  let deadline = Prelude.Mono.now () +. 2. in
-  let rec go () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX socket) with
-    | () -> Ok fd
-    | exception exn ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      (match exn with
-       | Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
-         when Prelude.Mono.now () < deadline ->
-         Prelude.Mono.sleep 0.02;
-         go ()
-       | _ -> Error (Printexc.to_string exn))
-  in
-  go ()
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX socket) with
+  | () -> Ok fd
+  | exception exn ->
+    Lineio.close fd;
+    Error (Printexc.to_string exn)
 
 let write_raw fd s =
   let len = String.length s in
@@ -114,8 +88,6 @@ let write_raw fd s =
       | n -> go (off + n)
   in
   go 0
-
-let close_raw fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let status_of line =
   match Json.parse line with
@@ -142,7 +114,7 @@ let torn_frame socket =
   | Error detail -> [ { subject = "torn-frame"; detail } ]
   | Ok fd ->
     ignore (write_raw fd {|{"op":"stats"|});
-    close_raw fd;
+    Lineio.close fd;
     []
 
 let disconnect_mid_request socket =
@@ -150,7 +122,7 @@ let disconnect_mid_request socket =
   | Error detail -> [ { subject = "disconnect"; detail } ]
   | Ok fd ->
     ignore (write_raw fd ({|{"op":"certify","workloads":["clamp"]}|} ^ "\n"));
-    close_raw fd;
+    Lineio.close fd;
     []
 
 let slow_writer socket =
@@ -181,7 +153,7 @@ let slow_writer socket =
             [ { subject = "slow-writer";
                 detail = "no response to a dripped-but-complete frame" } ])
     in
-    close_raw fd;
+    Lineio.close fd;
     outcome
 
 (* One frame over the cap must cost exactly one oversized envelope — and
@@ -212,7 +184,7 @@ let oversized_frame socket =
           | _ ->
             [ { subject = "oversized"; detail = "no envelope for the frame" } ])
     in
-    close_raw fd;
+    Lineio.close fd;
     outcome
 
 (* A wedged half-frame client and a well-behaved sibling, concurrently:
@@ -227,7 +199,7 @@ let wedged_with_sibling socket =
     let sibling =
       Domain.spawn (fun () ->
           let started = Prelude.Mono.now () in
-          match Client.connect ~retry_for_s:2. socket with
+          match Client.connect socket with
           | Error m -> Error m
           | Ok c ->
             Fun.protect
@@ -263,7 +235,7 @@ let wedged_with_sibling socket =
         []
       | _ -> [ { subject = "wedged"; detail = "never reaped" } ]
     in
-    close_raw fd;
+    Lineio.close fd;
     sibling_outcome @ reap_outcome
 
 (* Four concurrent clients, four workers: every response must be the
@@ -275,7 +247,7 @@ let concurrent_burst ~rng socket =
     List.map
       (fun name ->
          Domain.spawn (fun () ->
-             match Client.connect ~retry_for_s:2. socket with
+             match Client.connect socket with
              | Error m -> Error m
              | Ok c ->
                Fun.protect
@@ -313,7 +285,7 @@ let concurrent_burst ~rng socket =
     clients
 
 let final_counts socket =
-  match Client.connect ~retry_for_s:2. socket with
+  match Client.connect socket with
   | Error m -> Error m
   | Ok c ->
     Fun.protect
@@ -344,8 +316,8 @@ let edge_phase ~rng () =
   let violations =
     with_daemon (edge_config socket) (fun () ->
         (* Explicit lets: [@] would evaluate its arguments right to left,
-           running the subphases in reverse order — the wedged client
-           would race the daemon's bind. Order is part of the contract. *)
+           running the subphases in reverse order. Order is part of the
+           contract: the final stats count every earlier subphase. *)
         let torn = torn_frame socket in
         let disc = disconnect_mid_request socket in
         let slow = slow_writer socket in
@@ -395,7 +367,7 @@ let backpressure_phase () =
         idle_s = Some 10.; drain_s = 2.;
         max_frame = Daemon.default_max_frame }
       (fun () ->
-         match Client.connect ~retry_for_s:5. socket with
+         match Client.connect socket with
          | Error m -> [ { subject = "backpressure"; detail = m } ]
          | Ok holder ->
            Fun.protect
@@ -413,7 +385,7 @@ let backpressure_phase () =
                 | Ok _ ->
                   let sheds =
                     List.init backpressure_clients (fun i ->
-                        match Client.connect ~retry_for_s:2. socket with
+                        match Client.connect socket with
                         | Error m ->
                           [ { subject = Printf.sprintf "backpressure/%d" i;
                               detail = m } ]
@@ -492,7 +464,7 @@ let fault_phase ~plan () =
                  none may cost the daemon. Every attempt is a fresh
                  connection so a dropped one never poisons the next. *)
               for _ = 1 to fault_attempts do
-                match Client.connect ~retry_for_s:2. socket with
+                match Client.connect socket with
                 | Error _ -> ()
                 | Ok c ->
                   (match
@@ -507,7 +479,7 @@ let fault_phase ~plan () =
               done);
          (* Disarmed, the daemon must answer cleanly — the faults were
             contained, not accumulated. *)
-         match Client.connect ~retry_for_s:2. socket with
+         match Client.connect socket with
          | Error m ->
            [ { subject = "faults/recovery";
                detail = "cannot connect after disarm: " ^ m } ]

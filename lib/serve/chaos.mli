@@ -20,9 +20,14 @@
       [serve.write] armed; individual connections may die, the daemon may
       not, and it must answer cleanly once disarmed.
 
+    Each daemon comes from {!Daemon.start}, so it installs no signal
+    handler: Ctrl-C stops the campaign, not the daemon under test.
+
     A violation is anything outside that contract: a dead daemon, a
-    non-deterministic shed/reap count, a diverging response document.
-    [predlab chaos --plane serve] exits 4 iff any is reported. *)
+    non-deterministic shed/reap count, a diverging response document, a
+    close that found its descriptor already closed (subject
+    [fd_errors]). [predlab chaos --plane serve] exits 4 iff any is
+    reported. *)
 
 type violation = {
   subject : string;

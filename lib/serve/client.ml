@@ -26,7 +26,7 @@ let connect ?(retry_for_s = 0.) ?max_frame path =
         { fd; reader = Lineio.reader ?max_line:max_frame fd;
           closed = Atomic.make false }
     | exception exn ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Lineio.close fd;
       Error exn
   in
   let rec go () =
@@ -77,5 +77,4 @@ let request ?timeout_s t json =
 (* Close at most once: after the first close the kernel may hand the same
    descriptor number to another socket, which a second close would shut. *)
 let close t =
-  if Atomic.compare_and_set t.closed false true then
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
+  if Atomic.compare_and_set t.closed false true then Lineio.close t.fd

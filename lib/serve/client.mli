@@ -27,9 +27,12 @@ val connect :
   ?retry_for_s:float -> ?max_frame:int -> string -> (t, string) result
 (** Connect to a daemon's Unix-domain socket. With [retry_for_s > 0]
     (measured on the monotonic clock) a refused connection is retried
-    until the budget runs out — the "daemon still starting up" window in
-    scripted sessions. [max_frame] caps a single response line (default
-    {!Prelude.Lineio.default_max_line}). *)
+    until the budget runs out. That window is for a daemon in another
+    process that is still starting up, as in a script that backgrounds
+    [predlab serve] and queries it at once ([predlab query
+    --connect-timeout]); a daemon from {!Daemon.start} is listening when
+    [start] returns and needs none. [max_frame] caps a single response
+    line (default {!Prelude.Lineio.default_max_line}). *)
 
 val request : ?timeout_s:float -> t -> Prelude.Json.t -> (Prelude.Json.t, error) result
 (** Send one request line, read one response line, parse it. The

@@ -40,26 +40,26 @@ type entry = {
    - [engines_mu] guards the engines table (lookup-or-build, stats fold);
      engine *calls* need no table lock — each engine is internally
      mutex-guarded.
-   - [queue_mu]/[queue_cond] guard [pending] and order the shed decision
-     against worker pops; [active_conns] is bumped inside the same
-     critical section as the pop so "all workers busy" is judged against
-     a consistent queue+workers picture.
-   - [live_mu] guards [live], the registry of connection fds eligible for
-     a forced [Unix.shutdown] at drain time; a worker deregisters its fd
-     under [live_mu] *before* closing it, so the drain path can never
+   - [conns_mu] guards every accepted connection the daemon holds:
+     [pending], the queue no worker has taken yet, and [live], the ones
+     workers are serving (drain force-[shutdown]s what is left there).
+     [conns_cond] wakes workers on a push or a stop. A worker moves a
+     connection from [pending] to [live] in one critical section, so
+     the shed decision sees queue and busy workers as one picture, and
+     removes it from [live] *before* closing it, so drain can never
      shut down a recycled descriptor.
    - Everything else shared is a {!Prelude.Counter} (atomic) or
      [Atomic.t]; plain mutable fields would be data races under domains. *)
-type t = {
+type state = {
   config : config;
   listener : Unix.file_descr;
+  lock_fd : Unix.file_descr;  (* the socket's lockfile, held while serving *)
   engines : (string, entry) Hashtbl.t;
   engines_mu : Mutex.t;
   started : float;  (* Mono.now at listen time *)
   served : Counter.t;
   errors : Counter.t;
   in_flight : Counter.t;
-  active_conns : Counter.t;
   shed : Counter.t;
   reaped_idle : Counter.t;
   oversized_frames : Counter.t;
@@ -70,12 +70,14 @@ type t = {
   c_memo_hits : Counter.t;
   c_memo_misses : Counter.t;
   stopping : bool Atomic.t;
-  queue_mu : Mutex.t;
-  queue_cond : Condition.t;
+  conns_mu : Mutex.t;
+  conns_cond : Condition.t;
   pending : Unix.file_descr Queue.t;
-  live_mu : Mutex.t;
   live : (Unix.file_descr, unit) Hashtbl.t;
 }
+
+(* A daemon from [start]: its state and the domain serving it. *)
+type t = { daemon : state; serving : unit Domain.t }
 
 let entry_for t name =
   let build () =
@@ -148,12 +150,6 @@ let handle_eval t ~workload ~state ~input =
            ("cached", Json.Bool cached) ])
   end
 
-let queue_depth t =
-  Mutex.lock t.queue_mu;
-  let n = Queue.length t.pending in
-  Mutex.unlock t.queue_mu;
-  n
-
 let handle_stats t =
   Mutex.lock t.engines_mu;
   let engines =
@@ -177,6 +173,10 @@ let handle_stats t =
   let engines =
     List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) engines)
   in
+  let active, queued =
+    Mutex.protect t.conns_mu (fun () ->
+        (Hashtbl.length t.live, Queue.length t.pending))
+  in
   Protocol.ok ~op:"stats"
     (Json.Obj
        [ ("schema", Json.String "predlab/serve-stats");
@@ -188,11 +188,12 @@ let handle_stats t =
          ("served", Json.Int (Counter.get t.served));
          ("errors", Json.Int (Counter.get t.errors));
          ("in_flight", Json.Int (Counter.get t.in_flight));
-         ("active_connections", Json.Int (Counter.get t.active_conns));
-         ("queue_depth", Json.Int (queue_depth t));
+         ("active_connections", Json.Int active);
+         ("queue_depth", Json.Int queued);
          ("shed", Json.Int (Counter.get t.shed));
          ("reaped_idle", Json.Int (Counter.get t.reaped_idle));
          ("oversized_frames", Json.Int (Counter.get t.oversized_frames));
+         ("fd_errors", Json.Int (Lineio.bad_closes ()));
          ("draining", Json.Bool (Atomic.get t.stopping));
          ("memo_hits", Json.Int (Counter.get t.c_memo_hits));
          ("memo_misses", Json.Int (Counter.get t.c_memo_misses));
@@ -296,24 +297,12 @@ let process t line =
    idle budget); all writes get the same budget so a peer that stops
    draining its socket cannot park the worker. *)
 
-let register_live t fd =
-  Mutex.lock t.live_mu;
-  Hashtbl.replace t.live fd ();
-  Mutex.unlock t.live_mu
-
-let deregister_live t fd =
-  Mutex.lock t.live_mu;
-  Hashtbl.remove t.live fd;
-  Mutex.unlock t.live_mu
-
-let stop t =
+let request_stop t =
   Atomic.set t.stopping true;
-  Mutex.lock t.queue_mu;
-  Condition.broadcast t.queue_cond;
-  Mutex.unlock t.queue_mu
+  Mutex.protect t.conns_mu (fun () -> Condition.broadcast t.conns_cond)
 
+(* [fd] is already in [live]: the worker moved it there when it took it. *)
 let serve_connection t fd =
-  register_live t fd;
   let reader = Lineio.reader ~max_line:t.config.max_frame fd in
   let write line = Lineio.write_line ?deadline_s:t.config.idle_s fd line in
   let rec loop () =
@@ -346,47 +335,41 @@ let serve_connection t fd =
         let response, stop = process t line in
         Faults.point "serve.write";
         (match write response with
-         | Ok () -> if stop then stop_daemon () else loop ()
+         | Ok () -> if stop then request_stop t else loop ()
          | Error _ -> ())
     end
-  and stop_daemon () = stop t in
+  in
   (* A connection dying mid-request (EPIPE/ECONNRESET, or an armed
      serve.read/serve.write fault) must never take the worker down — it
      closes this connection and serves the next. *)
-  (try loop ()
-   with
-   | Sys_error _ | Unix.Unix_error _ | Faults.Injected _
-   | Faults.Forced_timeout _ -> ());
-  deregister_live t fd;
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.live fd);
+      Lineio.close fd)
+    (fun () ->
+       try loop ()
+       with
+       | Sys_error _ | Unix.Unix_error _ | Faults.Injected _
+       | Faults.Forced_timeout _ -> ())
 
 (* --- Worker pool and backpressure --------------------------------------- *)
 
 let worker_loop t =
+  let rec take () =
+    match Queue.take_opt t.pending with
+    | Some fd ->
+      Hashtbl.replace t.live fd ();
+      Some fd
+    | None when Atomic.get t.stopping -> None
+    | None ->
+      Condition.wait t.conns_cond t.conns_mu;
+      take ()
+  in
   let rec next () =
-    Mutex.lock t.queue_mu;
-    let rec wait () =
-      if not (Queue.is_empty t.pending) then begin
-        let fd = Queue.pop t.pending in
-        (* Inside the critical section, so the shed decision sees queue
-           and busy-workers as one consistent picture. *)
-        Counter.incr t.active_conns;
-        Some fd
-      end
-      else if Atomic.get t.stopping then None
-      else begin
-        Condition.wait t.queue_cond t.queue_mu;
-        wait ()
-      end
-    in
-    let job = wait () in
-    Mutex.unlock t.queue_mu;
-    match job with
+    match Mutex.protect t.conns_mu take with
     | None -> ()
     | Some fd ->
-      Fun.protect
-        ~finally:(fun () -> Counter.decr t.active_conns)
-        (fun () -> serve_connection t fd);
+      serve_connection t fd;
       next ()
   in
   next ()
@@ -398,19 +381,21 @@ let shed_connection t fd =
       (Protocol.overloaded ~conns:t.config.conns ~queue:t.config.queue)
   in
   ignore (Lineio.write_line ~deadline_s:1.0 fd line);
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  Lineio.close fd
 
 let enqueue t fd =
-  Mutex.lock t.queue_mu;
   let shed =
-    Queue.length t.pending >= t.config.queue
-    && Counter.get t.active_conns >= t.config.conns
+    Mutex.protect t.conns_mu (fun () ->
+        let shed =
+          Queue.length t.pending >= t.config.queue
+          && Hashtbl.length t.live >= t.config.conns
+        in
+        if not shed then begin
+          Queue.push fd t.pending;
+          Condition.signal t.conns_cond
+        end;
+        shed)
   in
-  if not shed then begin
-    Queue.push fd t.pending;
-    Condition.signal t.queue_cond
-  end;
-  Mutex.unlock t.queue_mu;
   if shed then shed_connection t fd
 
 let rec accept_loop t =
@@ -432,7 +417,7 @@ let rec accept_loop t =
            | exception (Faults.Injected _ | Faults.Forced_timeout _) ->
              (* An injected accept fault costs that client its
                 connection; the daemon accepts the next one. *)
-             (try Unix.close fd with Unix.Unix_error _ -> ()));
+             Lineio.close fd);
           accept_loop t)
   end
 
@@ -443,32 +428,29 @@ let rec accept_loop t =
    the stragglers so workers unblock, and join the pool. *)
 
 let drain t workers =
-  stop t;
-  Mutex.lock t.queue_mu;
-  let queued = List.of_seq (Queue.to_seq t.pending) in
-  Queue.clear t.pending;
-  Condition.broadcast t.queue_cond;
-  Mutex.unlock t.queue_mu;
+  request_stop t;
+  let queued =
+    Mutex.protect t.conns_mu (fun () ->
+        let queued = List.of_seq (Queue.to_seq t.pending) in
+        Queue.clear t.pending;
+        queued)
+  in
   List.iter (fun fd -> shed_connection t fd) queued;
   let deadline = Prelude.Mono.now () +. t.config.drain_s in
-  let live_count () =
-    Mutex.lock t.live_mu;
-    let n = Hashtbl.length t.live in
-    Mutex.unlock t.live_mu;
-    n
-  in
-  while live_count () > 0 && Prelude.Mono.now () < deadline do
+  while
+    Mutex.protect t.conns_mu (fun () -> Hashtbl.length t.live) > 0
+    && Prelude.Mono.now () < deadline
+  do
     Prelude.Mono.sleep 0.01
   done;
   (* Stragglers blew the drain budget: reset their sockets so blocked
-     reads return Eof. Workers deregister before closing, so every fd
+     reads return Eof. Workers leave [live] before closing, so every fd
      seen here is still the connection's. *)
-  Mutex.lock t.live_mu;
-  Hashtbl.iter
-    (fun fd () ->
-       try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    t.live;
-  Mutex.unlock t.live_mu;
+  Mutex.protect t.conns_mu (fun () ->
+      Hashtbl.iter
+        (fun fd () ->
+           try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+        t.live);
   List.iter Domain.join workers
 
 (* --- Socket setup -------------------------------------------------------- *)
@@ -491,7 +473,7 @@ let listen config =
       0o600
   in
   let give_up exn =
-    (try Unix.close lock_fd with Unix.Unix_error _ -> ());
+    Lineio.close lock_fd;
     raise exn
   in
   (match Unix.lockf lock_fd Unix.F_TLOCK 0 with
@@ -506,7 +488,7 @@ let listen config =
       | () -> true
       | exception Unix.Unix_error _ -> false
     in
-    (try Unix.close probe with Unix.Unix_error _ -> ());
+    Lineio.close probe;
     if live then
       give_up (Busy (config.socket ^ ": a daemon is already listening"));
     try Unix.unlink config.socket with Unix.Unix_error _ | Sys_error _ -> ()
@@ -519,57 +501,89 @@ let listen config =
      Unix.listen fd 64;
      Unix.rename tmp config.socket
    with exn ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
+     Lineio.close fd;
      (try Unix.unlink tmp with Unix.Unix_error _ | Sys_error _ -> ());
      give_up exn);
   (fd, lock_fd)
 
 let validate config =
   if config.jobs < 1 then
-    invalid_arg "Serve.Daemon.run: jobs must be >= 1";
+    invalid_arg "Serve.Daemon: jobs must be >= 1";
   if config.memo_bound < 1 then
-    invalid_arg "Serve.Daemon.run: memo_bound must be >= 1";
+    invalid_arg "Serve.Daemon: memo_bound must be >= 1";
   if config.conns < 1 then
-    invalid_arg "Serve.Daemon.run: conns must be >= 1";
+    invalid_arg "Serve.Daemon: conns must be >= 1";
   if config.queue < 0 then
-    invalid_arg "Serve.Daemon.run: queue must be >= 0";
+    invalid_arg "Serve.Daemon: queue must be >= 0";
   if config.drain_s <= 0. then
-    invalid_arg "Serve.Daemon.run: drain must be > 0";
+    invalid_arg "Serve.Daemon: drain must be > 0";
   if config.max_frame < 1 then
-    invalid_arg "Serve.Daemon.run: max-frame must be >= 1";
+    invalid_arg "Serve.Daemon: max-frame must be >= 1";
   (match config.idle_s with
-   | Some d when d <= 0. -> invalid_arg "Serve.Daemon.run: idle must be > 0"
+   | Some d when d <= 0. -> invalid_arg "Serve.Daemon: idle must be > 0"
    | _ -> ());
   match config.deadline_s with
   | Some d when d <= 0. ->
-    invalid_arg "Serve.Daemon.run: deadline must be > 0"
+    invalid_arg "Serve.Daemon: deadline must be > 0"
   | _ -> ()
 
-let run ?(on_ready = fun () -> ()) config =
+(* Validate, claim the socket and listen: a client can connect the
+   moment this returns. *)
+let claim config =
   validate config;
   (* Writing to a client that hung up raises EPIPE; without this the
      default SIGPIPE disposition kills the process instead. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let listener, lock_fd = listen config in
-  let t =
-    { config; listener;
-      engines = Hashtbl.create 8;
-      engines_mu = Mutex.create ();
-      started = Prelude.Mono.now ();
-      served = Counter.make (); errors = Counter.make ();
-      in_flight = Counter.make (); active_conns = Counter.make ();
-      shed = Counter.make (); reaped_idle = Counter.make ();
-      oversized_frames = Counter.make ();
-      c_evals = Counter.make (); c_cells = Counter.make ();
-      c_memo_hits = Counter.make (); c_memo_misses = Counter.make ();
-      stopping = Atomic.make false;
-      queue_mu = Mutex.create ();
-      queue_cond = Condition.create ();
-      pending = Queue.create ();
-      live_mu = Mutex.create ();
-      live = Hashtbl.create 16 }
-  in
+  { config; listener; lock_fd;
+    engines = Hashtbl.create 8;
+    engines_mu = Mutex.create ();
+    started = Prelude.Mono.now ();
+    served = Counter.make (); errors = Counter.make ();
+    in_flight = Counter.make (); shed = Counter.make ();
+    reaped_idle = Counter.make (); oversized_frames = Counter.make ();
+    c_evals = Counter.make (); c_cells = Counter.make ();
+    c_memo_hits = Counter.make (); c_memo_misses = Counter.make ();
+    stopping = Atomic.make false;
+    conns_mu = Mutex.create ();
+    conns_cond = Condition.create ();
+    pending = Queue.create ();
+    live = Hashtbl.create 16 }
+
+let release t =
+  Lineio.close t.listener;
+  (try Unix.unlink t.config.socket with Unix.Unix_error _ | Sys_error _ -> ());
+  Lineio.close t.lock_fd
+
+(* Accept until stopped, drain, and give the socket back. A worker that
+   fails to spawn still drains and joins the ones before it. *)
+let serve ?(on_ready = fun () -> ()) t =
+  let workers = ref [] in
+  Fun.protect ~finally:(fun () -> release t) (fun () ->
+      Fun.protect
+        ~finally:(fun () -> drain t !workers)
+        (fun () ->
+           for _ = 1 to t.config.conns do
+             workers := Domain.spawn (fun () -> worker_loop t) :: !workers
+           done;
+           on_ready ();
+           accept_loop t))
+
+let start config =
+  let daemon = claim config in
+  match Domain.spawn (fun () -> serve daemon) with
+  | serving -> { daemon; serving }
+  | exception exn ->
+    release daemon;
+    raise exn
+
+let stop { daemon; serving } =
+  request_stop daemon;
+  Domain.join serving
+
+let run ?on_ready config =
+  let t = claim config in
   (* The handlers only flip the flag; the accept loop's 0.1 s select tick
      notices it. No locking or allocation in signal context. *)
   let install signum =
@@ -580,22 +594,11 @@ let run ?(on_ready = fun () -> ()) config =
     | exception (Invalid_argument _ | Sys_error _) -> None
   in
   let saved = List.filter_map install [ Sys.sigterm; Sys.sigint ] in
-  let workers =
-    List.init config.conns (fun _ -> Domain.spawn (fun () -> worker_loop t))
-  in
-  let finish () =
-    List.iter
-      (fun (signum, old) ->
-         try Sys.set_signal signum old
-         with Invalid_argument _ | Sys_error _ -> ())
-      saved;
-    (try Unix.close t.listener with Unix.Unix_error _ -> ());
-    (try Unix.unlink config.socket with Unix.Unix_error _ | Sys_error _ -> ());
-    try Unix.close lock_fd with Unix.Unix_error _ -> ()
-  in
-  Fun.protect ~finally:finish (fun () ->
-      Fun.protect
-        ~finally:(fun () -> drain t workers)
-        (fun () ->
-           on_ready ();
-           accept_loop t))
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (signum, old) ->
+           try Sys.set_signal signum old
+           with Invalid_argument _ | Sys_error _ -> ())
+        saved)
+    (fun () -> serve ?on_ready t)

@@ -1,7 +1,8 @@
 (** The [predlab serve] daemon: a memo-cached evaluation service over a
     Unix-domain socket, served by a bounded pool of worker domains.
 
-    The accept loop (main domain) hands each connection to one of
+    The accept loop (on the domain that serves: the caller's under
+    {!run}, a new one under {!start}) hands each connection to one of
     [conns] resident worker domains through a bounded pending queue;
     when all workers are busy {e and} the queue is full, new connections
     are shed immediately with the structured
@@ -21,10 +22,26 @@
     peer is reaped (and counted) instead of parking a worker while
     well-behaved siblings wait.
 
-    Shutdown is a graceful drain: SIGTERM, SIGINT or a [shutdown]
-    request stops the accept loop, sheds whatever is still queued,
-    lets in-flight connections finish under [drain_s], force-resets the
-    stragglers, joins the workers and unlinks the socket.
+    Shutdown is a graceful drain: a [shutdown] request, {!stop}, or
+    SIGTERM/SIGINT under {!run} stops the accept loop, sheds whatever is
+    still queued, lets in-flight connections finish under [drain_s],
+    force-resets the stragglers, joins the workers and unlinks the
+    socket.
+
+    A daemon has one lifecycle with two front ends. {!start} and {!stop}
+    run it in-process beside other work (the serve chaos campaign,
+    test_serve, the throughput bench kernel): no signal handler, and the
+    caller decides when it ends. {!run} is [predlab serve]: it blocks
+    the calling domain and ends on a signal or a [shutdown] request.
+
+    The [stats] op reports [uptime_s], [jobs], [conns], [queue_bound],
+    [served], [errors], [in_flight], [active_connections],
+    [queue_depth], [shed], [reaped_idle], [oversized_frames],
+    [fd_errors], [draining], the memo and evaluation counters and one
+    record per resident engine.
+    [fd_errors] is {!Prelude.Lineio.bad_closes}: closes, anywhere in the
+    process, that found their descriptor already closed. It is 0 unless
+    something closed a descriptor twice.
 
     Failure containment invariants (the test_serve suite and the serve
     chaos plane gate all of them): a malformed or oversized request line
@@ -76,17 +93,38 @@ val default_max_frame : int
 (** {!Prelude.Lineio.default_max_line} (1 MiB). *)
 
 exception Busy of string
-(** Raised by {!run} when a live daemon already listens on the socket or
+(** Raised by {!start} and {!run} when a live daemon already listens on the socket or
     another daemon holds the socket's lockfile mid-startup (a dead
     daemon's stale socket file is silently replaced — the lockfile plus
     a connect probe make the claim race-free across processes). *)
 
+type t
+(** A daemon serving on a domain of its own, from {!start}. *)
+
+val start : config -> t
+(** Validate [config], claim the socket and listen on the calling
+    domain, so a client can connect the moment [start] returns; then
+    serve on one new domain (which spawns the [conns] workers). Installs
+    no SIGINT or SIGTERM handler. Like {!run} it sets SIGPIPE to ignored,
+    so a write to a client that hung up fails instead of killing the
+    process.
+    @raise Busy, [Unix.Unix_error], [Sys_error] or [Invalid_argument] as
+    {!run} does, before any domain is spawned. *)
+
+val stop : t -> unit
+(** Stop the daemon as a [shutdown] request does (a no-op if one
+    already did), wait for the drain, join the serving domain and
+    re-raise whatever it raised. *)
+
 val run : ?on_ready:(unit -> unit) -> config -> unit
-(** Serve until a [shutdown] request or SIGTERM/SIGINT arrives, then
-    drain and return: the listener closes, queued connections are shed,
-    in-flight connections finish under [drain_s], workers are joined and
-    the socket is unlinked. [on_ready] fires once the socket is
-    listening (before the first accept) — test scaffolding.
+(** Serve on the calling domain until a [shutdown] request or
+    SIGTERM/SIGINT arrives, then drain and return: the listener closes,
+    queued connections are shed, in-flight connections finish under
+    [drain_s], workers are joined and the socket is unlinked. The
+    SIGTERM/SIGINT handlers are installed for the daemon's lifetime and
+    the previous dispositions put back on return. [on_ready] fires once
+    the socket is listening and the workers run, before the first
+    accept: [predlab serve] prints its "listening" line there.
     @raise Busy, [Unix.Unix_error] or [Sys_error] on setup failure;
     @raise Invalid_argument on non-positive [jobs]/[memo_bound]/[conns]/
     [max_frame], negative [queue], or non-positive

@@ -701,6 +701,19 @@ let test_lineio_validation () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "negative deadline must be rejected")
 
+(* A first close counts nothing; closing the same descriptor again finds
+   it closed and counts exactly one. Nothing opens a descriptor between
+   the two closes, so the second cannot hit a reused number. *)
+let test_lineio_close_counts_ebadf () =
+  let fd = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  let before = Lineio.bad_closes () in
+  Lineio.close fd;
+  Alcotest.(check int) "first close counts nothing" before
+    (Lineio.bad_closes ());
+  Lineio.close fd;
+  Alcotest.(check int) "second close counts one" (before + 1)
+    (Lineio.bad_closes ())
+
 (* --- Counter ------------------------------------------------------------- *)
 
 let test_counter_exact_under_contention () =
@@ -797,7 +810,9 @@ let () =
          Alcotest.test_case "write to a closed peer" `Quick
            test_lineio_write_line_closed;
          Alcotest.test_case "parameter validation" `Quick
-           test_lineio_validation ]);
+           test_lineio_validation;
+         Alcotest.test_case "a second close counts EBADF" `Quick
+           test_lineio_close_counts_ebadf ]);
       ("counter",
        [ Alcotest.test_case "exact under contention" `Quick
            test_counter_exact_under_contention ]) ]

@@ -1,6 +1,6 @@
 (* Tests for the predlab serve daemon: protocol encode/decode round trips,
-   full socket sessions against an in-process daemon (spawned on its own
-   domain), memo behaviour across requests, per-request deadlines, and the
+   full socket sessions against an in-process daemon ([Daemon.start]),
+   memo behaviour across requests, per-request deadlines, and the
    robustness edges — malformed lines, unknown workloads, busy and stale
    sockets. *)
 
@@ -17,10 +17,11 @@ let temp_socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "predlab-test-%d-%d.sock" (Unix.getpid ()) !counter)
 
-(* Run [f socket client] against a daemon on a fresh socket. The daemon
-   runs on its own domain; the wrapper always shuts it down (idempotent if
-   the test body already did) and joins, so a failing test cannot leak a
-   listener into the next one. *)
+(* Run [f socket client] against a daemon on a fresh socket. The wrapper
+   always stops it (a no-op if the test body already shut it down), so a
+   failing test cannot leak a listener into the next one, and fails the
+   test if any close in the session found its descriptor already
+   closed. *)
 let daemon_config ?(jobs = 2) ?deadline_s
     ?(memo_bound = Daemon.default_memo_bound)
     ?(conns = 2) ?(queue = Daemon.default_queue)
@@ -36,42 +37,20 @@ let with_daemon ?jobs ?deadline_s ?memo_bound ?conns ?queue ?idle_s
     daemon_config ?jobs ?deadline_s ?memo_bound ?conns ?queue ?idle_s
       ?drain_s ?max_frame socket
   in
-  let daemon = Domain.spawn (fun () -> Daemon.run config) in
-  let shutdown () =
-    (* Retry until acknowledged: a conns=1/queue=0 daemon can shed the
-       shutdown connection itself while its worker is still noticing the
-       previous client's hangup, and an unacknowledged shutdown would
-       leave the join below blocked forever. *)
-    let rec request_shutdown deadline =
-      if Prelude.Mono.now () < deadline then
-        match Client.connect ~retry_for_s:0.5 socket with
-        | Error _ -> ()
-        | Ok c ->
-          let acked =
-            match
-              Client.request ~timeout_s:5. c
-                (Protocol.request_to_json Protocol.Shutdown)
-            with
-            | Ok response ->
-              Json.member "ok" response = Some (Json.Bool true)
-            | Error _ -> false
-          in
-          Client.close c;
-          if not acked then begin
-            Prelude.Mono.sleep 0.02;
-            request_shutdown deadline
-          end
-    in
-    request_shutdown (Prelude.Mono.now () +. 10.);
-    Domain.join daemon
+  let bad_closes = Prelude.Lineio.bad_closes () in
+  let daemon = Daemon.start config in
+  let result =
+    Fun.protect ~finally:(fun () -> Daemon.stop daemon) (fun () ->
+        match Client.connect socket with
+        | Error message -> Alcotest.failf "cannot connect: %s" message
+        | Ok client ->
+          Fun.protect
+            ~finally:(fun () -> Client.close client)
+            (fun () -> f socket client))
   in
-  Fun.protect ~finally:shutdown (fun () ->
-      match Client.connect ~retry_for_s:5. socket with
-      | Error message -> Alcotest.failf "cannot connect: %s" message
-      | Ok client ->
-        Fun.protect
-          ~finally:(fun () -> Client.close client)
-          (fun () -> f socket client))
+  Alcotest.(check int) "no close found its descriptor closed" bad_closes
+    (Prelude.Lineio.bad_closes ());
+  result
 
 let request ?deadline_s client req =
   match Client.request client (Protocol.request_to_json ?deadline_s req) with
@@ -557,8 +536,10 @@ let test_lint_exit_class () =
 let test_busy_socket_refused () =
   with_daemon (fun socket _client ->
       let config = daemon_config ~jobs:1 ~conns:1 socket in
-      match Daemon.run config with
-      | () -> Alcotest.fail "second daemon bound the same live socket"
+      match Daemon.start config with
+      | second ->
+        Daemon.stop second;
+        Alcotest.fail "second daemon bound the same live socket"
       | exception Daemon.Busy _ -> ())
 
 let test_stale_socket_reclaimed () =
@@ -602,7 +583,7 @@ let test_concurrent_clients_byte_identical () =
         List.map
           (fun name ->
              Domain.spawn (fun () ->
-                 match Client.connect ~retry_for_s:2. socket with
+                 match Client.connect socket with
                  | Error m -> Error m
                  | Ok c ->
                    Fun.protect
@@ -641,7 +622,7 @@ let test_overload_sheds_with_envelope () =
   with_daemon ~conns:1 ~queue:0 (fun socket client ->
       (* A finished round trip proves the worker owns our connection. *)
       ignore (result_of (request client Protocol.Stats));
-      (match Client.connect ~retry_for_s:2. socket with
+      (match Client.connect socket with
        | Error m -> Alcotest.failf "shed connect failed: %s" m
        | Ok shed ->
          Fun.protect
@@ -668,7 +649,7 @@ let test_overload_sheds_with_envelope () =
 let test_oversized_frame_survives_connection () =
   with_daemon ~max_frame:1024 (fun socket client ->
       Client.close client;
-      match Client.connect ~retry_for_s:2. ~max_frame:1024 socket with
+      match Client.connect ~max_frame:1024 socket with
       | Error m -> Alcotest.failf "connect failed: %s" m
       | Ok c ->
         Fun.protect
@@ -709,7 +690,7 @@ let test_idle_reap_spares_live_sibling () =
   with_daemon ~conns:2 ~idle_s:(Some 0.3) (fun socket client ->
       let wedged = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Fun.protect
-        ~finally:(fun () -> try Unix.close wedged with Unix.Unix_error _ -> ())
+        ~finally:(fun () -> Prelude.Lineio.close wedged)
         (fun () ->
            Unix.connect wedged (Unix.ADDR_UNIX socket);
            ignore (Unix.write_substring wedged "{\"op\":\"st" 0 9);
@@ -729,8 +710,8 @@ let test_idle_reap_spares_live_sibling () =
 let test_drain_finishes_in_flight_and_unlinks () =
   let socket = temp_socket () in
   let config = daemon_config ~conns:2 ~drain_s:5. socket in
-  let daemon = Domain.spawn (fun () -> Daemon.run config) in
-  (match Client.connect ~retry_for_s:5. socket with
+  let daemon = Daemon.start config in
+  (match Client.connect socket with
    | Error m -> Alcotest.failf "connect failed: %s" m
    | Ok c ->
      Fun.protect
@@ -749,7 +730,7 @@ let test_drain_finishes_in_flight_and_unlinks () =
             ignore (result_of response);
             (* ...then shutdown from a second connection: the daemon must
                acknowledge, drain, and unlink. *)
-            (match Client.connect ~retry_for_s:2. socket with
+            (match Client.connect socket with
              | Error m -> Alcotest.failf "shutdown connect failed: %s" m
              | Ok s ->
                Fun.protect
@@ -765,9 +746,52 @@ let test_drain_finishes_in_flight_and_unlinks () =
                     | Ok response ->
                       Alcotest.(check bool) "acknowledged" true
                         (bool_field "stopping" (result_of response))))));
-  Domain.join daemon;
+  Daemon.stop daemon;
   Alcotest.(check bool) "socket unlinked after drain" false
     (Sys.file_exists socket)
+
+(* --- Lifecycle ------------------------------------------------------------ *)
+
+(* [start] listens before it returns: a connect with no retry succeeds at
+   once. *)
+let test_start_listens_on_return () =
+  let socket = temp_socket () in
+  let daemon = Daemon.start (daemon_config socket) in
+  Fun.protect ~finally:(fun () -> Daemon.stop daemon) (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect ~finally:(fun () -> Prelude.Lineio.close fd) (fun () ->
+          match Unix.connect fd (Unix.ADDR_UNIX socket) with
+          | () -> ()
+          | exception Unix.Unix_error (error, _, _) ->
+            Alcotest.failf "connect right after start: %s"
+              (Unix.error_message error)))
+
+(* An in-process daemon serves beside its caller's own work, so [start]
+   must leave SIGINT and SIGTERM as it found them: Ctrl-C stops the
+   caller, not the daemon. *)
+let test_start_keeps_signal_dispositions () =
+  let disposition signum =
+    let current = Sys.signal signum Sys.Signal_default in
+    Sys.set_signal signum current;
+    current
+  in
+  let same a b =
+    match (a, b) with
+    | Sys.Signal_default, Sys.Signal_default
+    | Sys.Signal_ignore, Sys.Signal_ignore -> true
+    | Sys.Signal_handle f, Sys.Signal_handle g -> f == g
+    | _ -> false
+  in
+  let signals = [ ("SIGINT", Sys.sigint); ("SIGTERM", Sys.sigterm) ] in
+  let before = List.map (fun (_, signum) -> disposition signum) signals in
+  with_daemon (fun _socket client ->
+      (* A finished round trip proves the daemon is serving. *)
+      ignore (result_of (request client Protocol.Stats));
+      List.iter2
+        (fun (name, signum) old ->
+           Alcotest.(check bool) (name ^ " left as it was") true
+             (same old (disposition signum)))
+        signals before)
 
 let () =
   Alcotest.run "serve"
@@ -819,4 +843,9 @@ let () =
          Alcotest.test_case "idle reap spares a live sibling" `Quick
            test_idle_reap_spares_live_sibling;
          Alcotest.test_case "drain finishes in-flight and unlinks" `Quick
-           test_drain_finishes_in_flight_and_unlinks ]) ]
+           test_drain_finishes_in_flight_and_unlinks ]);
+      ("lifecycle",
+       [ Alcotest.test_case "start listens before it returns" `Quick
+           test_start_listens_on_return;
+         Alcotest.test_case "start leaves SIGINT and SIGTERM alone" `Quick
+           test_start_keeps_signal_dispositions ]) ]
