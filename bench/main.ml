@@ -633,9 +633,6 @@ let () =
   List.iter
     (fun s ->
        print_string (Predictability.Experiments.supervised_render s);
-       Printf.printf "  [%s]\n"
-         (Predictability.Report.timing_string
-            s.Predictability.Experiments.s_timing);
        print_newline ())
     results;
   let failed =

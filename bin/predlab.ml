@@ -56,10 +56,7 @@ let render_supervised_text results =
   List.iter
     (fun s ->
        Buffer.add_string buf (Predictability.Experiments.supervised_render s);
-       Buffer.add_string buf
-         (Printf.sprintf "  [%s]\n\n"
-            (Predictability.Report.timing_string
-               s.Predictability.Experiments.s_timing)))
+       Buffer.add_char buf '\n')
     results;
   buf
 
@@ -448,10 +445,20 @@ let query socket connect_timeout timeout deadline retries seed samples
           exit 2)
     | None -> (
         let flags = { Serve.Ops.retries; seed; samples; confidence; tolerance } in
-        match build_request flags args with
-        | Ok request ->
-          Serve.Protocol.request_to_json ?deadline_s:deadline request
-        | Error message | (exception Serve.Ops.Usage message) ->
+        (* JSON has no spelling for a non-finite float (--deadline=inf,
+           --tolerance=inf): emitting the request once here raises
+           Invalid_argument before any connect, and that is a usage error. *)
+        let encode request =
+          let json =
+            Serve.Protocol.request_to_json ?deadline_s:deadline request
+          in
+          ignore (Prelude.Json.to_string json);
+          json
+        in
+        match Result.map encode (build_request flags args) with
+        | Ok json -> json
+        | Error message
+        | (exception (Serve.Ops.Usage message | Invalid_argument message)) ->
           Printf.eprintf "predlab query: %s\n" message;
           exit 2)
   in
@@ -526,6 +533,14 @@ let positive_budget =
   bounded Arg.float (fun d -> d > 0.)
     (Printf.sprintf "%g is not a positive budget")
 
+let confidence_level =
+  bounded Arg.float (fun c -> c > 0. && c < 1.)
+    (Printf.sprintf "%g is not a confidence in (0, 1)")
+
+let tolerance_pct =
+  bounded Arg.float (fun t -> t >= 0.)
+    (Printf.sprintf "%g is a negative tolerance")
+
 let jobs_arg =
   Arg.(value
        & opt positive_int (Prelude.Parallel.default_jobs ())
@@ -544,12 +559,8 @@ let format_arg =
                  compare)).")
 
 let deadline_arg =
-  let positive_deadline =
-    bounded Arg.float (fun d -> d > 0.)
-      (Printf.sprintf "%g is not a positive deadline")
-  in
   Arg.(value
-       & opt (some positive_deadline) None
+       & opt (some positive_budget) None
        & info [ "deadline" ] ~docv:"SEC"
            ~doc:"Cooperative per-attempt budget in seconds: an experiment \
                  observed past it (at a parallel-loop checkpoint, or when \
@@ -680,12 +691,8 @@ let stats_cmd =
 
 let compare_cmd =
   let tolerance_arg =
-    let nonneg =
-      bounded Arg.float (fun t -> t >= 0.)
-        (Printf.sprintf "%g is a negative tolerance")
-    in
     Arg.(value
-         & opt nonneg 50.
+         & opt tolerance_pct 50.
          & info [ "tolerance" ] ~docv:"PCT"
              ~doc:"Allowed slowdown in percent before a timing counts as a \
                    regression (default 50, i.e. up to 1.5x baseline is \
@@ -808,12 +815,9 @@ let sample_cmd =
                    the spec).")
   in
   let confidence_arg =
-    let conf =
-      bounded Arg.float (fun c -> c > 0. && c < 1.)
-        (Printf.sprintf "%g is not a confidence in (0, 1)")
-    in
     Arg.(value
-         & opt conf Sampling.Sampler.default.Sampling.Sampler.confidence
+         & opt confidence_level
+             Sampling.Sampler.default.Sampling.Sampler.confidence
          & info [ "confidence" ] ~docv:"C"
              ~doc:"Two-sided CI coverage target in (0, 1), default 0.99.")
   in
@@ -973,13 +977,13 @@ let query_cmd =
   in
   let confidence_arg =
     Arg.(value
-         & opt (some float) None
+         & opt (some confidence_level) None
          & info [ "confidence" ] ~docv:"C"
              ~doc:"CI coverage target for the $(b,sample) op.")
   in
   let tolerance_arg =
     Arg.(value
-         & opt (some float) None
+         & opt (some tolerance_pct) None
          & info [ "tolerance" ] ~docv:"PCT"
              ~doc:"Slowdown tolerance in percent for the $(b,compare) op \
                    (default: the gate's, as in `predlab compare`).")

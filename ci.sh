@@ -124,6 +124,8 @@ lines_before=$(wc -l < _build/ci.jsonl)
 dune exec bin/predlab.exe -- all --jobs 2 --resume --journal _build/ci.jsonl \
   --out _build/resumed.json --format json
 test "$(wc -l < _build/ci.jsonl)" -eq "$((lines_before + 1))"
+# Journal lines are version 2: the report record behind a two-field header.
+grep -q '"schema":"predlab/journal","version":2' _build/ci.jsonl
 grep -q '"resumed": true' _build/resumed.json
 if grep -q '"status": "crashed"' _build/resumed.json; then
   echo "resume left a crashed experiment in the final report" >&2
@@ -145,6 +147,22 @@ dune exec bin/predlab.exe -- chaos --jobs 2 --seed 1
 # 0, socket unlinked). The daemon runs from the built binary directly so
 # the backgrounded process does not contend for dune's build lock.
 PREDLAB=_build/default/bin/predlab.exe
+# `query` checks its float flags before it connects, so these probes need
+# no daemon: a confidence or tolerance the one-shot commands refuse is a
+# usage error (124), and a non-finite deadline, which JSON cannot spell,
+# exits 2 naming it instead of escaping as an uncaught exception (125).
+NOSOCK=_build/no-daemon.sock
+"$PREDLAB" query --socket "$NOSOCK" --confidence=nan sample clamp 2> /dev/null \
+  && probe_status=0 || probe_status=$?
+test "$probe_status" -eq 124
+"$PREDLAB" query --socket "$NOSOCK" --tolerance=-5 \
+  compare BENCH_0.json BENCH_0.json 2> /dev/null \
+  && probe_status=0 || probe_status=$?
+test "$probe_status" -eq 124
+"$PREDLAB" query --socket "$NOSOCK" --deadline=inf stats \
+  2> _build/query-inf.err && probe_status=0 || probe_status=$?
+test "$probe_status" -eq 2
+grep -q 'non-finite' _build/query-inf.err
 SOCK=_build/predlab-ci.sock
 rm -f "$SOCK"
 "$PREDLAB" serve --socket "$SOCK" --jobs 2 --conns 4 &

@@ -106,8 +106,6 @@ let initial_states t =
 
 let is_static = function Static _ -> true | Dynamic _ -> false
 
-let static_scheme_of = function Static s -> Some s | Dynamic _ -> None
-
 (* --- Mutable replay ------------------------------------------------------ *)
 
 (* [update] copies the counter table on every trained branch; a replay

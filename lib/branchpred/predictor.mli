@@ -59,8 +59,6 @@ val is_static : t -> bool
     branch event, never on execution history — the fast path's branch-purity
     criterion. *)
 
-val static_scheme_of : t -> static_scheme option
-
 (** {2 Mutable replay}
 
     {!update} copies the counter table per trained branch; a replay steps

@@ -47,7 +47,3 @@ let request t ~name ~size =
 
 let equal a b = a = b
 
-let pp ppf t =
-  Format.fprintf ppf "mcache[%d/%d blocks:" (occupancy t) t.config.blocks;
-  List.iter (fun (name, n) -> Format.fprintf ppf " %s(%d)" name n) t.resident;
-  Format.fprintf ppf "]"

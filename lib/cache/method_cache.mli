@@ -31,4 +31,3 @@ val occupancy : t -> int
 (** Blocks currently in use. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -172,7 +172,6 @@ let contents state =
   | Srr (ways_list, _) -> ways_list
 
 let equal a b = a = b
-let compare = Stdlib.compare
 
 let kind_ordinal = function
   | Lru -> 0

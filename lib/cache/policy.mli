@@ -29,7 +29,6 @@ val contents : state -> int option list
 (** Current tags in policy-specific order, padded with [None]. *)
 
 val equal : state -> state -> bool
-val compare : state -> state -> int
 val pp : Format.formatter -> state -> unit
 
 val pack : state -> int list

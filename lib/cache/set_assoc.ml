@@ -40,7 +40,6 @@ let resident t addr =
   Policy.resident t.state.(set) (block_of_addr t.config addr)
 
 let equal a b = a.config = b.config && a.state = b.state
-let compare a b = Stdlib.compare (a.config, a.state) (b.config, b.state)
 
 let warmed config ~seed ~touches ~universe =
   let rng = Prelude.Rng.make seed in

@@ -29,7 +29,6 @@ val resident : t -> int -> bool
 (** Whether the line holding this address is currently cached. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val warmed : config -> seed:int -> touches:int -> universe:int list -> t
 (** A plausible initial state: a cold cache warmed by [touches] random

@@ -1,10 +1,5 @@
 type region = Static | Stack | Heap
 
-let region_name = function
-  | Static -> "static"
-  | Stack -> "stack"
-  | Heap -> "heap"
-
 type classifier = int -> region
 
 type t = {
@@ -32,9 +27,6 @@ let access t classify addr =
   | Heap ->
     let hit, c = Set_assoc.access t.heap_cache addr in
     (hit, { t with heap_cache = c })
-
-let caches t =
-  [ (Static, t.static_cache); (Stack, t.stack_cache); (Heap, t.heap_cache) ]
 
 let equal a b =
   Set_assoc.equal a.static_cache b.static_cache

@@ -9,8 +9,6 @@
 
 type region = Static | Stack | Heap
 
-val region_name : region -> string
-
 type classifier = int -> region
 (** Maps a data address to its region. *)
 
@@ -25,5 +23,4 @@ val make :
 (** The heap cache is fully associative ([sets = 1]) with LRU replacement. *)
 
 val access : t -> classifier -> int -> bool * t
-val caches : t -> (region * Set_assoc.t) list
 val equal : t -> t -> bool

@@ -1,3 +1,5 @@
+module Json = Prelude.Json
+
 let all =
   [ ("FIG1", "Execution-time distribution with LB/BCET/WCET/UB", Exp_fig1.run);
     ("FIG1.SOUND", "Figure-1 soundness oracle (bounds + interval analysis)",
@@ -82,30 +84,68 @@ let classify ~wall_s = function
   | Prelude.Faults.Forced_timeout _ -> Report.Timed_out { after_s = wall_s }
   | exn -> Report.Crashed { error = Printexc.to_string exn }
 
-let journal_entry s =
-  { Journal.id = s.s_id;
-    title = s.s_title;
-    status = s.s_status;
-    attempts = s.s_attempts;
-    checks =
-      (match s.s_outcome with Some o -> o.Report.checks | None -> []);
-    timing = s.s_timing }
+(* The fields of one experiment record: the v2 report's record and, behind
+   [journal_header], the journal line. *)
+let supervised_fields s =
+  let checks =
+    match s.s_outcome with Some o -> o.Report.checks | None -> []
+  in
+  let passed = List.filter (fun c -> c.Report.passed) checks in
+  [ ("id", Json.String s.s_id); ("title", Json.String s.s_title) ]
+  @ Report.status_fields s.s_status
+  @ [ ("attempts", Json.Int s.s_attempts);
+      ("resumed", Json.Bool s.s_resumed);
+      ("checks", Json.List (List.map Report.check_to_json checks));
+      ("checks_passed", Json.Int (List.length passed));
+      ("checks_total", Json.Int (List.length checks)) ]
+  @ Report.timing_fields s.s_timing
 
-let of_journal (e : Journal.entry) =
-  { s_id = e.Journal.id;
-    s_title = e.Journal.title;
-    s_status = e.Journal.status;
-    s_attempts = e.Journal.attempts;
-    s_resumed = true;
-    s_outcome =
-      (match e.Journal.status with
-       | Report.Completed ->
-         Some
-           { Report.id = e.Journal.id; title = e.Journal.title;
-             body = "(resumed from journal; rendered body not recorded)\n";
-             checks = e.Journal.checks }
-       | _ -> None);
-    s_timing = e.Journal.timing }
+let supervised_result_to_json s = Json.Obj (supervised_fields s)
+
+let journal_header =
+  [ ("schema", Json.String "predlab/journal"); ("version", Json.Int 2) ]
+
+(* A journal line back to the record [--resume] reports. Only the fields a
+   verdict is made of are read, so a version 1 line (no "resumed",
+   "checks_passed" or "checks_total") decodes to the same record. A
+   malformed check is dropped, and a missing number reads as its
+   default. *)
+let of_journal_line json =
+  let member field conv = Option.bind (Json.member field json) conv in
+  let int field default = Option.value ~default (member field Json.int_value) in
+  let check c =
+    match
+      Option.bind (Json.member "label" c) Json.string_value,
+      Option.bind (Json.member "passed" c) Json.bool_value
+    with
+    | Some label, Some passed -> Some (Report.check label passed)
+    | _ -> None
+  in
+  match member "id" Json.string_value, member "title" Json.string_value with
+  | None, _ -> Error "journal entry without a string \"id\""
+  | _, None -> Error "journal entry without a string \"title\""
+  | Some id, Some title ->
+    Result.map
+      (fun status ->
+         let checks =
+           List.filter_map check
+             (Option.value ~default:[] (member "checks" Json.to_list))
+         in
+         { s_id = id; s_title = title; s_status = status;
+           s_attempts = int "attempts" 1; s_resumed = true;
+           s_outcome =
+             (match status with
+              | Report.Completed ->
+                let body =
+                  "(resumed from journal; rendered body not recorded)\n"
+                in
+                Some { Report.id; title; body; checks }
+              | _ -> None);
+           s_timing =
+             { Report.wall_s =
+                 Option.value ~default:0. (member "wall_s" Json.float_value);
+               cells = int "cells" 0; evals = int "evals" 0 } })
+      (Report.status_of_json json)
 
 (* Run one experiment to a verdict: per-attempt cooperative deadline, the
    "experiment:<id>" fault-injection site, bounded-backoff retries on crash
@@ -145,7 +185,10 @@ let supervise ~supervision ~writer (id, title, runner) =
           s_resumed = false; s_outcome = None; s_timing = timing }
   in
   let verdict = go 1 in
-  Option.iter (fun w -> Journal.append w (journal_entry verdict)) writer;
+  Option.iter
+    (fun w ->
+       Journal.append w (Json.Obj (journal_header @ supervised_fields verdict)))
+    writer;
   verdict
 
 let zero_timing = { Report.wall_s = 0.; cells = 0; evals = 0 }
@@ -167,24 +210,18 @@ let run_supervised ?jobs ?(supervision = default_supervision) ?journal
       | None ->
         invalid_arg "Experiments.run_supervised: resume requires a journal"
       | Some path -> (
-          match Journal.load path with
+          match Journal.load path of_journal_line with
           | Error message ->
             invalid_arg ("Experiments.run_supervised: " ^ message)
-          | Ok loaded ->
-            let completed = Journal.completed_ids loaded in
+          | Ok lines ->
+            (* The last line for an id wins: a crash line followed by a
+               successful re-run resumes as completed, and vice versa. *)
+            let latest = List.rev lines in
             List.filter_map
               (fun (id, _, _) ->
-                 if not (List.mem id completed) then None
-                 else
-                   (* last Completed line wins (a crash line followed by a
-                      successful re-run resumes as completed) *)
-                   List.fold_left
-                     (fun acc (e : Journal.entry) ->
-                        if e.Journal.id = id
-                        && e.Journal.status = Report.Completed
-                        then Some (of_journal e)
-                        else acc)
-                     None loaded)
+                 match List.find_opt (fun s -> s.s_id = id) latest with
+                 | Some ({ s_status = Report.Completed; _ } as s) -> Some s
+                 | _ -> None)
               entries)
   in
   let resumed_ids = List.map (fun s -> s.s_id) resumed in
@@ -241,28 +278,6 @@ let supervised_check_failures sups =
 let supervised_passed s =
   match s.s_outcome with Some o -> Report.all_passed o | None -> false
 
-let supervised_result_to_json s =
-  let checks =
-    match s.s_outcome with Some o -> o.Report.checks | None -> []
-  in
-  let passed = List.filter (fun c -> c.Report.passed) checks in
-  let timing_fields =
-    match Report.timing_to_json s.s_timing with
-    | Prelude.Json.Obj fields -> fields
-    | _ -> assert false
-  in
-  Prelude.Json.Obj
-    ([ ("id", Prelude.Json.String s.s_id);
-       ("title", Prelude.Json.String s.s_title) ]
-     @ Report.status_fields s.s_status
-     @ [ ("attempts", Prelude.Json.Int s.s_attempts);
-         ("resumed", Prelude.Json.Bool s.s_resumed);
-         ("checks",
-          Prelude.Json.List (List.map Report.check_to_json checks));
-         ("checks_passed", Prelude.Json.Int (List.length passed));
-         ("checks_total", Prelude.Json.Int (List.length checks)) ]
-     @ timing_fields)
-
 let supervised_wall_sum sups =
   List.fold_left (fun acc s -> acc +. s.s_timing.Report.wall_s) 0. sups
 
@@ -293,25 +308,28 @@ let supervised_to_json ~jobs ~elapsed_s sups =
        Prelude.Json.List (List.map supervised_result_to_json sups)) ]
 
 let supervised_render s =
-  match s.s_outcome with
-  | Some outcome ->
-    let notes =
-      (if s.s_attempts > 1 then
-         [ Printf.sprintf "succeeded on attempt %d" s.s_attempts ]
-       else [])
-      @ (if s.s_resumed then [ "resumed from journal" ] else [])
-    in
-    Report.render outcome
-    ^ (if notes = [] then ""
-       else Printf.sprintf "  (%s)\n" (String.concat "; " notes))
-  | None ->
-    let verdict =
-      match s.s_status with
-      | Report.Crashed { error } -> Printf.sprintf "CRASHED: %s" error
-      | Report.Timed_out { after_s } ->
-        Printf.sprintf "TIMED OUT after %.3fs" after_s
-      | Report.Completed -> assert false (* completed implies an outcome *)
-    in
-    Printf.sprintf "=== %s: %s ===\n  [%s] (%d attempt%s)\n" s.s_id s.s_title
-      verdict s.s_attempts
-      (if s.s_attempts = 1 then "" else "s")
+  let record =
+    match s.s_outcome with
+    | Some outcome ->
+      let notes =
+        (if s.s_attempts > 1 then
+           [ Printf.sprintf "succeeded on attempt %d" s.s_attempts ]
+         else [])
+        @ (if s.s_resumed then [ "resumed from journal" ] else [])
+      in
+      Report.render outcome
+      ^ (if notes = [] then ""
+         else Printf.sprintf "  (%s)\n" (String.concat "; " notes))
+    | None ->
+      let verdict =
+        match s.s_status with
+        | Report.Crashed { error } -> Printf.sprintf "CRASHED: %s" error
+        | Report.Timed_out { after_s } ->
+          Printf.sprintf "TIMED OUT after %.3fs" after_s
+        | Report.Completed -> assert false (* completed implies an outcome *)
+      in
+      Printf.sprintf "=== %s: %s ===\n  [%s] (%d attempt%s)\n" s.s_id s.s_title
+        verdict s.s_attempts
+        (if s.s_attempts = 1 then "" else "s")
+  in
+  record ^ Printf.sprintf "  [%s]\n" (Report.timing_string s.s_timing)

@@ -62,10 +62,12 @@ val run_supervised :
     entry order, whatever the runners do, with outcomes bit-identical for
     any job count. Each runner passes through the ["experiment:<id>"]
     {!Prelude.Faults} site once per attempt. With [~journal:FILE], every
-    verdict is appended to the crash-safe journal as it happens; with
+    verdict is appended to the crash-safe {!Journal} as it happens, as its
+    {!supervised_result_to_json} record behind a
+    [{"schema":"predlab/journal","version":2}] header; with
     [~resume:true] (requires [~journal]) ids whose last journal line is
-    [Completed] are not re-run but reconstructed from the journal
-    ([s_resumed = true]).
+    [Completed] are not re-run but decoded from that line
+    ([s_resumed = true]). Version 1 lines decode to the same records.
     @raise Invalid_argument on a negative retry/backoff, a non-positive
     deadline, [resume] without [journal], or an unreadable journal. *)
 
@@ -83,8 +85,9 @@ val supervised_wall_sum : supervised list -> float
 val supervised_result_to_json : supervised -> Prelude.Json.t
 (** One flat v2 experiment object: [id], [title], ["status"] (and its
     ["error"]/["after_s"] detail), ["attempts"], ["resumed"], [checks],
-    [checks_passed], [checks_total], then {!Report.timing_to_json}'s
-    [wall_s], [cells] and [evals]. *)
+    [checks_passed], [checks_total], then {!Report.timing_fields}'
+    [wall_s], [cells] and [evals]. A journal line carries the same
+    fields. *)
 
 val supervised_to_json :
   jobs:int -> elapsed_s:float -> supervised list -> Prelude.Json.t
@@ -98,4 +101,5 @@ val supervised_to_json :
 
 val supervised_render : supervised -> string
 (** Text rendering: {!Report.render} (with retry/resume notes) for
-    completed records, a [[CRASHED]]/[[TIMED OUT]] block otherwise. *)
+    completed records, a [[CRASHED]]/[[TIMED OUT]] block otherwise, then
+    the record's [[wall …]] line ({!Report.timing_string}). *)

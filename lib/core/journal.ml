@@ -1,59 +1,5 @@
 module Json = Prelude.Json
 
-type entry = {
-  id : string;
-  title : string;
-  status : Report.status;
-  attempts : int;
-  checks : Report.check list;
-  timing : Report.timing;
-}
-
-let entry_to_json e =
-  Json.Obj
-    ([ ("schema", Json.String "predlab/journal");
-       ("version", Json.Int 1);
-       ("id", Json.String e.id);
-       ("title", Json.String e.title) ]
-     @ Report.status_fields e.status
-     @ [ ("attempts", Json.Int e.attempts);
-         ("checks", Json.List (List.map Report.check_to_json e.checks));
-         ("wall_s", Json.Float e.timing.Report.wall_s);
-         ("cells", Json.Int e.timing.Report.cells);
-         ("evals", Json.Int e.timing.Report.evals) ])
-
-let entry_of_json json =
-  let str field = Option.bind (Json.member field json) Json.string_value in
-  let num field = Option.bind (Json.member field json) Json.float_value in
-  let int field = Option.bind (Json.member field json) Json.int_value in
-  match str "id", str "title" with
-  | None, _ -> Error "journal entry without a string \"id\""
-  | _, None -> Error "journal entry without a string \"title\""
-  | Some id, Some title ->
-    Result.bind (Report.status_of_json json) (fun status ->
-        let checks =
-          match Option.bind (Json.member "checks" json) Json.to_list with
-          | None -> []
-          | Some checks ->
-            List.filter_map
-              (fun c ->
-                 match
-                   Option.bind (Json.member "label" c) Json.string_value,
-                   Option.bind (Json.member "passed" c) Json.bool_value
-                 with
-                 | Some label, Some passed -> Some (Report.check label passed)
-                 | _ -> None)
-              checks
-        in
-        Ok
-          { id; title; status;
-            attempts = Option.value ~default:1 (int "attempts");
-            checks;
-            timing =
-              { Report.wall_s = Option.value ~default:0. (num "wall_s");
-                cells = Option.value ~default:0 (int "cells");
-                evals = Option.value ~default:0 (int "evals") } })
-
 type writer = {
   mu : Mutex.t;
   channel : out_channel;
@@ -64,15 +10,16 @@ let create path =
     channel = open_out_gen [ Open_append; Open_creat ] 0o644 path }
 
 (* One line per call, flushed and fsynced before the mutex is released:
-   after [append] returns, the entry survives a process kill. The fsync is
+   after [append] returns, the line survives a process kill. The fsync is
    what makes "killed mid-run, then --resume" lose at most the experiments
    that had not finished — never one that had. *)
-let append t e =
+let append t json =
+  let line = Json.to_string json in
   Mutex.lock t.mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
     (fun () ->
-       output_string t.channel (Json.to_string (entry_to_json e));
+       output_string t.channel line;
        output_char t.channel '\n';
        flush t.channel;
        Unix.fsync (Unix.descr_of_out_channel t.channel))
@@ -116,8 +63,8 @@ let write_atomic path contents =
    line over the 1 MiB frame cap — no append of ours ever writes one, so
    it is corruption or tampering — is a named load error, not an
    allocation storm. A torn final line (no trailing newline: the mark of
-   a mid-write crash) is ignored, exactly as before. *)
-let load path =
+   a mid-write crash) is ignored. *)
+let load path decode =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> Ok []
   | fd ->
@@ -134,30 +81,11 @@ let load path =
                (Printf.sprintf
                   "%s:%d: journal line exceeds the %d-byte frame cap" path
                   lineno Prelude.Lineio.default_max_line)
-           | `Line "" -> parse acc (lineno + 1)
-           | `Line line when String.trim line = "" ->
-             parse acc (lineno + 1)
+           | `Line line when String.trim line = "" -> parse acc (lineno + 1)
            | `Line line -> (
-               match Json.parse line with
+               match Result.bind (Json.parse line) decode with
                | Error message ->
                  Error (Printf.sprintf "%s:%d: %s" path lineno message)
-               | Ok json -> (
-                   match entry_of_json json with
-                   | Error message ->
-                     Error (Printf.sprintf "%s:%d: %s" path lineno message)
-                   | Ok entry -> parse (entry :: acc) (lineno + 1)))
+               | Ok entry -> parse (entry :: acc) (lineno + 1))
          in
          parse [] 1)
-
-let completed_ids entries =
-  let last_status =
-    List.fold_left
-      (fun acc e ->
-         (e.id, e.status) :: List.remove_assoc e.id acc)
-      [] entries
-  in
-  List.rev
-    (List.filter_map
-       (fun (id, status) ->
-          match status with Report.Completed -> Some id | _ -> None)
-       last_status)

@@ -1,25 +1,28 @@
-(** Crash-safe experiment journal: one JSON line per finished experiment.
+(** Crash-safe JSON-lines log, plus the atomic document writer.
 
-    [predlab all --journal FILE] appends an {!entry} the moment each
+    [predlab all --journal FILE] appends one line the moment each
     experiment reaches a verdict (completed, crashed or timed out), so a
     run killed mid-batch loses at most the experiments still in flight.
-    [--resume] then {!load}s the file, skips ids whose last entry is
-    {!Report.Completed}, and re-runs only the rest — reconstructing the
-    skipped experiments' report records (checks, status, timing) from
-    their journal lines, so the final report is the same as an
-    uninterrupted run's (modulo the re-run experiments' wall clock).
+    [--resume] then {!load}s the file and skips the ids whose last line is
+    completed. This module knows nothing about verdicts: the caller
+    encodes each line and passes {!load} the decoder.
 
-    Line format (schema [predlab/journal], version 1, one compact JSON
-    object per line):
+    {!Experiments.run_supervised} writes a line that is the experiment's
+    report record ({!Experiments.supervised_result_to_json}) behind a
+    two-field header, so a resumed record is the record the report would
+    hold (schema [predlab/journal], version 2, one compact JSON object per
+    line):
     {v
-    {"schema":"predlab/journal","version":1,"id":"EQ4","title":...,
-     "status":"completed","attempts":1,
+    {"schema":"predlab/journal","version":2,"id":"EQ4","title":...,
+     "status":"completed","attempts":1,"resumed":false,
      "checks":[{"label":...,"passed":...},...],
+     "checks_passed":2,"checks_total":2,
      "wall_s":0.123,"cells":540,"evals":540}
     v}
-    [Crashed] entries carry ["error"], [Timed_out] entries ["after_s"]
-    (the {!Report.status_fields} encoding), and both omit nothing else —
-    every line is self-contained.
+    A crashed line carries ["error"] after ["status"], a timed-out line
+    ["after_s"] (the {!Report.status_fields} encoding). Version 1 lines
+    lack ["resumed"], ["checks_passed"] and ["checks_total"]; they still
+    load and resume.
 
     Crash safety: lines are appended, flushed and fsynced one at a time
     under a mutex (writers may sit on different worker domains), and
@@ -27,45 +30,32 @@
     mid-write — by ignoring it. A malformed line anywhere {e else} is a
     hard error: that is a corrupt journal, not a crash artifact. *)
 
-type entry = {
-  id : string;
-  title : string;
-  status : Report.status;
-  attempts : int;    (** 1 = succeeded/failed on the first try *)
-  checks : Report.check list;  (** empty unless [status = Completed] *)
-  timing : Report.timing;
-}
-
 type writer
 
 val create : string -> writer
 (** Open (creating if needed) the journal for appending. Raises
     [Sys_error] if the path is unwritable. *)
 
-val append : writer -> entry -> unit
-(** Serialise one line, flush and fsync before returning. Thread-safe. *)
+val append : writer -> Prelude.Json.t -> unit
+(** Write one compact line, flush and fsync before returning.
+    Thread-safe. *)
 
 val close : writer -> unit
-
-val entry_to_json : entry -> Prelude.Json.t
-val entry_of_json : Prelude.Json.t -> (entry, string) Stdlib.result
 
 val write_atomic : string -> string -> unit
 (** [write_atomic path contents]: write a whole document atomically {e and}
     durably — temp file beside [path], data fsync, rename, then an fsync
     of the parent directory (without which a crash shortly after the
     rename can roll it back, losing the new document even though the
-    rename "succeeded"). Used by the [--out] report path and the serve
-    daemon. Raises [Sys_error]/[Unix.Unix_error] if the write or rename
-    fails; the directory fsync itself is best-effort. *)
+    rename "succeeded"). The [--out] report path uses it. Raises
+    [Sys_error]/[Unix.Unix_error] if the write or rename fails; the
+    directory fsync itself is best-effort. *)
 
-val load : string -> (entry list, string) Stdlib.result
-(** Entries in file order ([Ok []] if the file does not exist — resuming
-    from a journal that was never written is an empty resume, not an
-    error). A truncated final line is ignored; any other malformed line is
-    an [Error] naming its line number. *)
-
-val completed_ids : entry list -> string list
-(** Ids whose {e last} entry is {!Report.Completed} — the set [--resume]
-    skips (later entries win, so a crash line followed by a successful
-    re-run counts as completed and vice versa). *)
+val load :
+  string -> (Prelude.Json.t -> ('a, string) Stdlib.result) ->
+  ('a list, string) Stdlib.result
+(** [load path decode]: the decoded lines in file order ([Ok []] if the
+    file does not exist — resuming from a journal that was never written
+    is an empty resume, not an error). A truncated final line is ignored;
+    a line over the frame cap, a line that is not JSON, or one that
+    [decode] rejects is an [Error] naming its line number. *)

@@ -151,9 +151,6 @@ let wcet = max_all
 let times m =
   List.concat_map Array.to_list (Array.to_list m)
 
-let size m =
-  (Array.length m, if Array.length m = 0 then 0 else Array.length m.(0))
-
 let predictability ?jobs ~states ~inputs ~time () =
   let m = evaluate ?jobs ~states ~inputs ~time () in
   (pr m, sipr m, iipr m)

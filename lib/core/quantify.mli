@@ -101,9 +101,6 @@ val wcet : matrix -> int
 val times : matrix -> int list
 (** All observed execution times (row-major), e.g. for histograms. *)
 
-val size : matrix -> int * int
-(** [(states, inputs)] dimensions. *)
-
 val predictability :
   ?jobs:int -> states:'q list -> inputs:'i list ->
   time:('q -> 'i -> int) -> unit ->

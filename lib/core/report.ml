@@ -34,20 +34,10 @@ let check_to_json c =
     [ ("label", Prelude.Json.String c.label);
       ("passed", Prelude.Json.Bool c.passed) ]
 
-let outcome_to_json outcome =
-  let passed = List.filter (fun c -> c.passed) outcome.checks in
-  Prelude.Json.Obj
-    [ ("id", Prelude.Json.String outcome.id);
-      ("title", Prelude.Json.String outcome.title);
-      ("checks", Prelude.Json.List (List.map check_to_json outcome.checks));
-      ("checks_passed", Prelude.Json.Int (List.length passed));
-      ("checks_total", Prelude.Json.Int (List.length outcome.checks)) ]
-
-let timing_to_json t =
-  Prelude.Json.Obj
-    [ ("wall_s", Prelude.Json.Float t.wall_s);
-      ("cells", Prelude.Json.Int t.cells);
-      ("evals", Prelude.Json.Int t.evals) ]
+let timing_fields t =
+  [ ("wall_s", Prelude.Json.Float t.wall_s);
+    ("cells", Prelude.Json.Int t.cells);
+    ("evals", Prelude.Json.Int t.evals) ]
 
 let status_string = function
   | Completed -> "completed"
@@ -64,8 +54,6 @@ let status_fields = function
   | Timed_out { after_s } ->
     [ ("status", Prelude.Json.String "timed_out");
       ("after_s", Prelude.Json.Float after_s) ]
-
-let status_to_json status = Prelude.Json.Obj (status_fields status)
 
 (* Reads the v2 fields back; an object without a "status" field is a v1
    experiment record, i.e. one that ran to completion. *)

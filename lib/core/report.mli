@@ -46,14 +46,9 @@ val timing_string : timing -> string
 val check_to_json : check -> Prelude.Json.t
 (** [{"label": ..., "passed": ...}]. *)
 
-val outcome_to_json : outcome -> Prelude.Json.t
-(** [{"id", "title", "checks", "checks_passed", "checks_total"}] — the
-    machine-readable counterpart of {!render} (the rendered [body] is text
-    evidence and deliberately omitted; checks are the machine-checked
-    part). *)
-
-val timing_to_json : timing -> Prelude.Json.t
-(** [{"wall_s", "cells", "evals"}]. *)
+val timing_fields : timing -> (string * Prelude.Json.t) list
+(** [wall_s], [cells] and [evals], for splicing into an experiment object
+    like {!status_fields}. *)
 
 val status_string : status -> string
 (** ["completed"] / ["crashed"] / ["timed_out"] — the wire names used in
@@ -63,9 +58,6 @@ val status_fields : status -> (string * Prelude.Json.t) list
 (** The v2 fields describing a status, for splicing into an experiment
     object: always [("status", ...)]; plus [("error", ...)] for
     {!Crashed} or [("after_s", ...)] for {!Timed_out}. *)
-
-val status_to_json : status -> Prelude.Json.t
-(** {!status_fields} wrapped in an object (the journal line format). *)
 
 val status_of_json : Prelude.Json.t -> (status, string) Stdlib.result
 (** Reads {!status_fields} back from an experiment/journal object. An

@@ -267,7 +267,6 @@ let analyze ?widen_delay ?narrow_passes program =
   { cfg; in_states }
 
 let cfg t = t.cfg
-let block_in t id = t.in_states.(id)
 
 let instr_envs t =
   let collect block =

@@ -50,9 +50,6 @@ val analyze :
 
 val cfg : result -> Cfg.t
 
-val block_in : result -> int -> env option
-(** In-state of a block ([None] = unreachable under the analysis). *)
-
 val instr_envs : result -> (int * Isa.Instr.t * env) list
 (** [(pc, instruction, env before the instruction)] for every instruction
     of every analysis-reachable block, in ascending [pc] order — the

@@ -50,11 +50,3 @@ let run program st outcome =
 let time program st input =
   let outcome = Isa.Exec.run program input in
   (run program st outcome).cycles
-
-(* Batch entry points: the functional outcome is input-only, so callers
-   timing one input against many states (or one state against many inputs)
-   can run [Exec.run] once and replay the trace here. *)
-let time_outcome program st outcome = (run program st outcome).cycles
-
-let times program st outcomes =
-  Array.map (fun outcome -> time_outcome program st outcome) outcomes

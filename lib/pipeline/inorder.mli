@@ -28,11 +28,3 @@ val run : Isa.Program.t -> state -> Isa.Exec.outcome -> result
 
 val time : Isa.Program.t -> state -> Isa.Exec.input -> int
 (** Execute functionally, then time: the executable [T_p(q, i)] of Def. 2. *)
-
-val time_outcome : Isa.Program.t -> state -> Isa.Exec.outcome -> int
-(** {!time} on a precomputed functional outcome: the trace is input-only,
-    so batch sweeps can execute each input once and time it against many
-    states. *)
-
-val times : Isa.Program.t -> state -> Isa.Exec.outcome array -> int array
-(** One matrix row: a state timed against precomputed outcomes. *)

@@ -32,11 +32,6 @@ let level_worst = function
   | Cached { miss; _ } -> miss
   | Spm { hit; backing; _ } -> Stdlib.max hit backing
 
-let level_best = function
-  | Flat lat -> lat
-  | Cached { hit; _ } -> hit
-  | Spm { hit; backing; _ } -> Stdlib.min hit backing
-
 let level_equal a b =
   match a, b with
   | Flat x, Flat y -> x = y

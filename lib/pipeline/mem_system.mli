@@ -24,6 +24,5 @@ val data : t -> int -> int * t
 (** Data access (load or store, modelled alike). *)
 
 val level_worst : level -> int
-val level_best : level -> int
 
 val equal : t -> t -> bool

@@ -113,5 +113,3 @@ let run ?(start_delay = 0) program st outcome =
 let time program st input =
   let outcome = Isa.Exec.run program input in
   (run program st outcome).cycles
-
-let time_outcome program st outcome = (run program st outcome).cycles

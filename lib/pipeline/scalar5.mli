@@ -31,7 +31,3 @@ val run : ?start_delay:int -> Isa.Program.t -> state -> Isa.Exec.outcome -> resu
 (** [start_delay] delays the first fetch (for anomaly-freedom checks). *)
 
 val time : Isa.Program.t -> state -> Isa.Exec.input -> int
-
-val time_outcome : Isa.Program.t -> state -> Isa.Exec.outcome -> int
-(** {!time} on a precomputed functional outcome (batch sweeps execute each
-    input once and time it against many states). *)

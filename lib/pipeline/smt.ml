@@ -1,9 +1,5 @@
 type policy = Fair | Rt_priority
 
-let policy_name = function
-  | Fair -> "fair round-robin SMT"
-  | Rt_priority -> "real-time-priority SMT"
-
 type result = {
   completion : int list;
 }

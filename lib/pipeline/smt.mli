@@ -9,8 +9,6 @@
 
 type policy = Fair | Rt_priority
 
-val policy_name : policy -> string
-
 type result = {
   completion : int list;  (** per-thread completion cycle, thread 0 first *)
 }

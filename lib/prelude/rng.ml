@@ -80,8 +80,6 @@ let fill t bound dst =
   done;
   Bytes.set_int64_le t 0 !s
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let float t bound =
   let mantissa = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   bound *. (float_of_int mantissa /. 9007199254740992.0)

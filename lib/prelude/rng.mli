@@ -27,7 +27,6 @@ val fill : t -> int -> int array -> unit
     [dst] leaves [t] unchanged. Allocates nothing.
     @raise Invalid_argument if [bound <= 0] and [dst] is not empty. *)
 
-val bool : t -> bool
 val float : t -> float -> float
 
 val pick : t -> 'a list -> 'a

@@ -62,9 +62,4 @@ let quantile samples p =
   let arr = Array.of_list (List.sort Float.compare samples) in
   quantile_sorted arr p
 
-let coefficient_of_variation s = if s.mean = 0. then 0. else s.stddev /. s.mean
 let spread s = s.max -. s.min
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d min=%.1f max=%.1f mean=%.2f sd=%.2f med=%.1f"
-    s.count s.min s.max s.mean s.stddev s.median

@@ -35,10 +35,5 @@ val quantile_sorted : float array -> float -> float
     the allocation-free form the bootstrap resampling loops use.
     @raise Invalid_argument on an empty array or [p] outside [0, 1]. *)
 
-val coefficient_of_variation : summary -> float
-(** [stddev / mean]; zero variability means a perfectly repeatable quantity. *)
-
 val spread : summary -> float
 (** [max - min]. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -41,5 +41,3 @@ let render t =
       rows
   in
   String.concat "\n" ((render_cells t.header :: sep :: body) @ [ "" ])
-
-let print t = print_string (render t)

@@ -7,4 +7,3 @@ val make : header:string list -> t
 val add_row : t -> string list -> unit
 val add_separator : t -> unit
 val render : t -> string
-val print : t -> unit

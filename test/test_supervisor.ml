@@ -370,18 +370,39 @@ let test_journal_crash_line_reruns () =
    | _ -> Alcotest.fail "expected A resumed, B re-run to completion");
   Alcotest.(check int) "only B re-ran" 1 (Atomic.get reran)
 
+let contains haystack needle =
+  let n = String.length needle in
+  let rec scan i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || scan (i + 1))
+  in
+  scan 0
+
 let test_journal_load_errors () =
-  (match Journal.load "/nonexistent/predlab.jsonl" with
+  (match Journal.load "/nonexistent/predlab.jsonl" Result.ok with
    | Ok [] -> ()
    | _ -> Alcotest.fail "missing journal should load as empty");
   let path = Filename.temp_file "predlab_journal" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   write_file path "{\"id\":\"A\",\"title\":\"t\",\"status\":\"completed\"}\nnot json\n{\"id\":\"B\",\"title\":\"t\"}\n";
-  match Journal.load path with
-  | Error message ->
-    Alcotest.(check bool) "names the line" true
-      (String.length message > 0)
-  | Ok _ -> Alcotest.fail "mid-file corruption must be a hard error"
+  (match Journal.load path Result.ok with
+   | Error message ->
+     Alcotest.(check bool) ("names the line: " ^ message) true
+       (contains message (path ^ ":2:"))
+   | Ok _ -> Alcotest.fail "mid-file corruption must be a hard error");
+  (* JSON, but not a record: without a string "id" the supervisor's
+     decoder rejects the line, and resume fails naming it. *)
+  write_file path
+    "{\"id\":\"A\",\"title\":\"t\",\"status\":\"completed\"}\n\
+     {\"id\":7,\"title\":\"t\",\"status\":\"completed\"}\n";
+  match
+    Experiments.run_supervised ~jobs:1 ~journal:path ~resume:true
+      ~entries:[ entry "A" ] ()
+  with
+  | exception Invalid_argument message ->
+    Alcotest.(check bool) ("names the line: " ^ message) true
+      (contains message (path ^ ":2:") && contains message "\"id\"")
+  | _ -> Alcotest.fail "a line without a string id must be a load error"
 
 (* The loader reads through the bounded frame reader: a journal line over
    the 1 MiB cap (no writer of ours produces one, so it is corruption) is
@@ -394,7 +415,7 @@ let test_journal_oversized_line_rejected () =
   write_file path
     (good ^ "\n" ^ String.make (Prelude.Lineio.default_max_line + 512) 'x'
      ^ "\n");
-  (match Journal.load path with
+  (match Journal.load path Result.ok with
    | Error message ->
      Alcotest.(check bool) ("names the cap: " ^ message) true
        (String.length message > 0)
@@ -404,11 +425,113 @@ let test_journal_oversized_line_rejected () =
   write_file path
     (Printf.sprintf
        "{\"id\":\"A\",\"title\":%S,\"status\":\"completed\"}\n" title);
-  match Journal.load path with
-  | Ok [ e ] ->
-    Alcotest.(check string) "large title survives" title e.Journal.title
+  match Journal.load path Result.ok with
+  | Ok [ line ] ->
+    Alcotest.(check (option string)) "large title survives" (Some title)
+      (Option.bind (Prelude.Json.member "title" line)
+         Prelude.Json.string_value)
   | Ok _ -> Alcotest.fail "expected exactly one entry"
   | Error message -> Alcotest.failf "bounded line rejected: %s" message
+
+let json =
+  Alcotest.testable
+    (fun ppf j -> Format.pp_print_string ppf (Prelude.Json.to_string j))
+    ( = )
+
+(* A journal line is the report record behind a two-field header: for a
+   completed verdict, one with a failing check and a crashed one alike,
+   the line minus "schema" and "version" is exactly what the report
+   writes for the verdict the run returned. *)
+let test_journal_line_is_report_record () =
+  let path = Filename.temp_file "predlab_journal" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Sys.remove path;
+  let failing () =
+    { (ok_outcome "B") with
+      Report.checks =
+        [ Report.check "holds" true; Report.check "fails" false ] }
+  in
+  let sups =
+    with_faults [ Faults.site "experiment:C" Faults.Raise ] (fun () ->
+        Experiments.run_supervised ~jobs:2 ~journal:path
+          ~entries:[ entry "A"; entry "B" ~runner:failing; entry "C" ] ())
+  in
+  (match statuses sups with
+   | [ Report.Completed; Report.Completed; Report.Crashed _ ] -> ()
+   | _ -> Alcotest.fail "expected A and B completed, C crashed");
+  Alcotest.(check int) "B fails a check" 1
+    (List.length (Experiments.supervised_check_failures sups));
+  match Journal.load path Result.ok with
+  | Error message -> Alcotest.fail message
+  | Ok lines ->
+    Alcotest.(check int) "one line per verdict" 3 (List.length lines);
+    List.iter
+      (function
+        | Prelude.Json.Obj
+            (("schema", Prelude.Json.String "predlab/journal")
+             :: ("version", Prelude.Json.Int 2)
+             :: (("id", Prelude.Json.String id) :: _ as fields)) ->
+          let s = List.find (fun s -> s.Experiments.s_id = id) sups in
+          Alcotest.check json ("line " ^ id)
+            (Experiments.supervised_result_to_json s)
+            (Prelude.Json.Obj fields)
+        | line ->
+          Alcotest.failf "not a v2 journal line: %s"
+            (Prelude.Json.to_string line))
+      lines
+
+(* Journals written before a line became the report record (version 1: no
+   "resumed", "checks_passed" or "checks_total") still resume, to the
+   record that version resumed from them. *)
+let test_journal_v1_lines_resume () =
+  let path = Filename.temp_file "predlab_journal" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  write_file path
+    "{\"schema\":\"predlab/journal\",\"version\":1,\"id\":\"A\",\
+     \"title\":\"synthetic A\",\"status\":\"completed\",\"attempts\":2,\
+     \"checks\":[{\"label\":\"always\",\"passed\":true},\
+     {\"label\":\"never\",\"passed\":false}],\
+     \"wall_s\":0.25,\"cells\":540,\"evals\":1080}\n\
+     {\"schema\":\"predlab/journal\",\"version\":1,\"id\":\"B\",\
+     \"title\":\"synthetic B\",\"status\":\"crashed\",\
+     \"error\":\"Failure(\\\"kaboom\\\")\",\"attempts\":1,\"checks\":[],\
+     \"wall_s\":0.001,\"cells\":0,\"evals\":0}\n";
+  let ran = Array.make 2 0 in
+  let counted i id =
+    entry id ~runner:(fun () -> ran.(i) <- ran.(i) + 1; ok_outcome id)
+  in
+  let resume () =
+    Experiments.run_supervised ~jobs:1 ~journal:path ~resume:true
+      ~entries:[ counted 0 "A"; counted 1 "B" ] ()
+  in
+  match resume () with
+  | [ a; b ] ->
+    Alcotest.(check bool) "A resumed" true a.Experiments.s_resumed;
+    Alcotest.(check bool) "A completed" true
+      (a.Experiments.s_status = Report.Completed);
+    Alcotest.(check int) "A keeps its attempts" 2 a.Experiments.s_attempts;
+    Alcotest.(check (list (pair string bool))) "A keeps its checks"
+      [ ("always", true); ("never", false) ]
+      (match a.Experiments.s_outcome with
+       | Some o ->
+         List.map (fun c -> (c.Report.label, c.Report.passed)) o.Report.checks
+       | None -> []);
+    Alcotest.(check bool) "A keeps its timing" true
+      (a.Experiments.s_timing
+       = { Report.wall_s = 0.25; cells = 540; evals = 1080 });
+    Alcotest.(check bool) "B re-ran to completion" true
+      ((not b.Experiments.s_resumed)
+       && b.Experiments.s_status = Report.Completed);
+    Alcotest.(check (array int)) "only B re-ran" [| 0; 1 |] ran;
+    (* B's crashed version 1 line is now followed by a completed version 2
+       line. The last line wins, so a second resume re-runs nothing. *)
+    (match resume () with
+     | [ { Experiments.s_resumed = true; _ };
+         { Experiments.s_resumed = true; s_status = Report.Completed; _ } ] ->
+       ()
+     | _ -> Alcotest.fail "expected A and B resumed from the mixed journal");
+    Alcotest.(check (array int)) "nothing re-ran" [| 0; 1 |] ran
+  | _ -> Alcotest.fail "expected two records"
 
 (* --- Chaos campaigns ----------------------------------------------------- *)
 
@@ -478,7 +601,11 @@ let () =
          Alcotest.test_case "load: missing ok, corrupt fatal" `Quick
            test_journal_load_errors;
          Alcotest.test_case "oversized journal line rejected" `Quick
-           test_journal_oversized_line_rejected ]);
+           test_journal_oversized_line_rejected;
+         Alcotest.test_case "journal line is the report record" `Quick
+           test_journal_line_is_report_record;
+         Alcotest.test_case "v1 journal lines still resume" `Quick
+           test_journal_v1_lines_resume ]);
       ("chaos",
        [ QCheck_alcotest.to_alcotest prop_chaos_graceful;
          Alcotest.test_case "campaigns arm sites across seeds" `Quick
