@@ -444,21 +444,24 @@ let query socket connect_timeout timeout deadline retries seed samples
           Printf.eprintf "predlab query: --raw: %s\n" message;
           exit 2)
     | None -> (
+        (* The flag converters admit +inf, which JSON has no spelling for,
+           so a request could not carry it: a usage error, before any
+           connect. *)
+        List.iter
+          (fun (flag, value) ->
+             match value with
+             | Some v when not (Float.is_finite v) ->
+               Printf.eprintf
+                 "predlab query: --%s %g is non-finite; a request cannot \
+                  carry it\n" flag v;
+               exit 2
+             | _ -> ())
+          [ ("deadline", deadline); ("tolerance", tolerance) ];
         let flags = { Serve.Ops.retries; seed; samples; confidence; tolerance } in
-        (* JSON has no spelling for a non-finite float (--deadline=inf,
-           --tolerance=inf): emitting the request once here raises
-           Invalid_argument before any connect, and that is a usage error. *)
-        let encode request =
-          let json =
-            Serve.Protocol.request_to_json ?deadline_s:deadline request
-          in
-          ignore (Prelude.Json.to_string json);
-          json
-        in
-        match Result.map encode (build_request flags args) with
-        | Ok json -> json
-        | Error message
-        | (exception (Serve.Ops.Usage message | Invalid_argument message)) ->
+        match build_request flags args with
+        | Ok request ->
+          Serve.Protocol.request_to_json ?deadline_s:deadline request
+        | Error message | (exception Serve.Ops.Usage message) ->
           Printf.eprintf "predlab query: %s\n" message;
           exit 2)
   in
@@ -466,44 +469,30 @@ let query socket connect_timeout timeout deadline retries seed samples
   | Error message ->
     Printf.eprintf "predlab query: cannot connect: %s\n" message;
     exit 2
-  | Ok client ->
-    let response =
-      Fun.protect
-        ~finally:(fun () -> Serve.Client.close client)
-        (fun () ->
-           Serve.Client.request ?timeout_s:timeout client request_json)
-    in
-    (match response with
-     | Error (Serve.Client.Timeout after_s) ->
-       (* A wedged daemon is a supervision-style failure, not usage:
-          same exit as a timed-out experiment. *)
-       Printf.eprintf "predlab query: timed out after %gs\n" after_s;
-       exit 3
-     | Error error ->
-       Printf.eprintf "predlab query: %s\n" (Serve.Client.error_message error);
-       exit 2
-     | Ok response -> (
-         let member name = Prelude.Json.member name response in
-         let string_member name =
-           Option.bind (member name) Prelude.Json.string_value
-         in
-         match member "ok" with
-         | Some (Prelude.Json.Bool true) -> (
-             let result =
-               Option.value ~default:Prelude.Json.Null (member "result")
-             in
-             match Option.bind (string_member "op") Serve.Ops.find with
-             | Some e ->
-               print_string (Serve.Ops.render e result);
-               exit (e.Serve.Ops.exit_code result)
-             | None -> print_string (Prelude.Json.to_string_pretty result))
-         | Some (Prelude.Json.Bool false) ->
-           Printf.eprintf "predlab query: %s\n"
-             (Option.value ~default:"unknown error" (string_member "error"));
-           exit (Serve.Ops.error_exit response)
-         | _ ->
-           Printf.eprintf "predlab query: malformed response envelope\n";
-           exit 2))
+  | Ok client -> (
+      let reply =
+        Fun.protect
+          ~finally:(fun () -> Serve.Client.close client)
+          (fun () -> Serve.Client.reply ?timeout_s:timeout client request_json)
+      in
+      match reply with
+      | Error (Serve.Client.Timeout after_s) ->
+        (* A wedged daemon is a supervision-style failure, not usage:
+           same exit as a timed-out experiment. *)
+        Printf.eprintf "predlab query: timed out after %gs\n" after_s;
+        exit 3
+      | Error error ->
+        Printf.eprintf "predlab query: %s\n" (Serve.Client.error_message error);
+        exit 2
+      | Ok (Serve.Protocol.Answered { op; result }) -> (
+          match Option.bind op Serve.Ops.find with
+          | Some e ->
+            print_string (Serve.Ops.render e result);
+            exit (e.Serve.Ops.exit_code result)
+          | None -> print_string (Prelude.Json.to_string_pretty result))
+      | Ok (Serve.Protocol.Refused { message; status }) ->
+        Printf.eprintf "predlab query: %s\n" message;
+        exit (Serve.Ops.error_exit status))
 
 let survey () =
   print_endline "Table 1: constructive approaches to predictability (part I)";
@@ -539,7 +528,7 @@ let confidence_level =
 
 let tolerance_pct =
   bounded Arg.float (fun t -> t >= 0.)
-    (Printf.sprintf "%g is a negative tolerance")
+    (Printf.sprintf "%g is not a tolerance >= 0")
 
 let jobs_arg =
   Arg.(value

@@ -159,10 +159,19 @@ test "$probe_status" -eq 124
   compare BENCH_0.json BENCH_0.json 2> /dev/null \
   && probe_status=0 || probe_status=$?
 test "$probe_status" -eq 124
+# The shared tolerance converter refuses NaN without calling it negative.
+"$PREDLAB" compare --tolerance=nan BENCH_0.json BENCH_0.json \
+  2> _build/compare-nan.err && probe_status=0 || probe_status=$?
+test "$probe_status" -eq 124
+if grep -q 'negative' _build/compare-nan.err; then
+  echo "a NaN tolerance was reported as negative" >&2
+  exit 1
+fi
 "$PREDLAB" query --socket "$NOSOCK" --deadline=inf stats \
   2> _build/query-inf.err && probe_status=0 || probe_status=$?
 test "$probe_status" -eq 2
 grep -q 'non-finite' _build/query-inf.err
+grep -q -- '--deadline' _build/query-inf.err
 SOCK=_build/predlab-ci.sock
 rm -f "$SOCK"
 "$PREDLAB" serve --socket "$SOCK" --jobs 2 --conns 4 &
@@ -202,6 +211,12 @@ grep -q '"timed_out": 1' _build/serve-timeout.json
 "$PREDLAB" query --socket "$SOCK" run NOSUCH 2> /dev/null \
   && unknown_status=0 || unknown_status=$?
 test "$unknown_status" -eq 2
+# A refusal without a status (an unknown op) is exit 1, and its message
+# reaches stderr.
+"$PREDLAB" query --socket "$SOCK" --raw '{"op":"frobnicate"}' \
+  2> _build/serve-unknown-op.err && unknown_status=0 || unknown_status=$?
+test "$unknown_status" -eq 1
+grep -q 'unknown op "frobnicate"' _build/serve-unknown-op.err
 # Concurrency: four simultaneous clients on the --conns 4 pool, each
 # response byte-identical to the one-shot CLI document — worker domains
 # share the engine table but never each other's responses.

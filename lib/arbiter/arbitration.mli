@@ -1,10 +1,12 @@
 (** Multi-client arbitration of a shared, non-preemptive resource.
 
-    This is the common substrate behind the CoMPSoC interconnect (TDM), the
-    Predator DRAM controller (CCSP) and the AMC controller (TDM), and their
-    conventional baselines (FCFS, round-robin, fixed priority). Time is
-    discrete; each request occupies the resource exclusively for its service
-    time.
+    This backs the CoMPSoC interconnect ([Noc.Link], TAB1.R4) and the
+    CCSP burst and TDM slot sweeps of ABLATE, with their conventional
+    baselines (FCFS, round-robin, fixed priority). The DRAM controllers of
+    TAB2.R4/R5 do not use it: [Dram.Controller.simulate] has its own cycle
+    loop, with per-request credits, refresh pre-emption and a close-page
+    TDM slot. Time is discrete; each request occupies the resource
+    exclusively for its service time.
 
     The key property distinctions the paper's Tables 1-2 rely on:
     - TDM is {e composable}: a client's service depends only on the slot

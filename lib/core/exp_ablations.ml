@@ -110,8 +110,7 @@ let run () =
     let bounds = List.map (fun (_, _, b) -> b) ccsp in
     List.sort Stdlib.compare bounds = bounds
   in
-  { Report.id = "ABLATE";
-    title = "Ablations: analysis unrolling, CCSP burst sweep, TDM slot sweep";
+  { Report.title = "Ablations: analysis unrolling, CCSP burst sweep, TDM slot sweep";
     body = Buffer.contents buf;
     checks =
       [ Report.check "virtual unrolling tightens UB without unsoundness"

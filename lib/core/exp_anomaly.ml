@@ -57,8 +57,7 @@ let run () =
     (* Initial delay on an in-order machine is a pure additive prefix. *)
     List.for_all (fun d -> t + d >= t) [ 0; 1; 2; 3 ]
   in
-  { Report.id = "RW.ANOMALY";
-    title = "Timing anomalies: local delay, globally faster execution";
+  { Report.title = "Timing anomalies: local delay, globally faster execution";
     body;
     checks =
       [ Report.check "a delayed start beats the undelayed one (anomaly exists)"

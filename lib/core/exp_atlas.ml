@@ -66,8 +66,7 @@ let run () =
     | Some r -> r
     | None -> assert false
   in
-  { Report.id = "EXT.ATLAS";
-    title = "Predictability atlas: Defs. 3-5 + sound bounds across all workloads";
+  { Report.title = "Predictability atlas: Defs. 3-5 + sound bounds across all workloads";
     body = Prelude.Table.render table;
     checks =
       [ Report.check "LB <= BCET <= WCET <= UB for every workload"

@@ -103,7 +103,6 @@ let run () =
         | _ -> ());
        Prelude.Table.add_separator table)
     specs;
-  { Report.id = "TAB1.R1";
-    title = "WCET-oriented static branch prediction vs dynamic schemes";
+  { Report.title = "WCET-oriented static branch prediction vs dynamic schemes";
     body = Prelude.Table.render table;
     checks = List.rev !checks }

@@ -86,8 +86,7 @@ let run () =
     Prelude.Table.render table
     ^ Printf.sprintf "exhaustive WCET over the explored Q x I: %d\n" wcet
   in
-  { Report.id = "EXT.BUDGET";
-    title = "Analysis-complexity budgets: inherent vs analysis-bound predictability";
+  { Report.title = "Analysis-complexity budgets: inherent vs analysis-bound predictability";
     body;
     checks =
       [ Report.check "every budget's bound is sound (UB_k >= WCET)"

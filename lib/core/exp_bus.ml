@@ -76,8 +76,7 @@ let run () =
     | Some times -> Prelude.Stats.min_int_list times
     | None -> max_int
   in
-  { Report.id = "EXT.BUS";
-    title = "TDMA vs FCFS bus arbitration between cores (closed loop)";
+  { Report.title = "TDMA vs FCFS bus arbitration between cores (closed loop)";
     body = Prelude.Table.render table;
     checks =
       [ Report.check "TDM bus: victim completion independent of co-runners"

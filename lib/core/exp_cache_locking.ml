@@ -66,8 +66,7 @@ let run () =
            (List.map string_of_int (Cache.Locking.locked_blocks locking)))
         (List.length blocks)
   in
-  { Report.id = "TAB2.R3";
-    title = "Static cache locking: guaranteed hits survive preemption";
+  { Report.title = "Static cache locking: guaranteed hits survive preemption";
     body;
     checks =
       [ Report.check "locking yields a positive static hit guarantee"

@@ -56,8 +56,7 @@ let run () =
         )
         policies
   in
-  { Report.id = "RW.CACHE";
-    title = "Cache replacement policy metrics: evict/fill by state exploration";
+  { Report.title = "Cache replacement policy metrics: evict/fill by state exploration";
     body = Prelude.Table.render table;
     checks =
       [ Report.check "LRU attains evict = fill = ways (k=2 and k=4)"

@@ -114,8 +114,7 @@ let run () =
   let cached_weakest, cached_interval, cached_direct =
     analyse Cached_machine "LRU caches"
   in
-  { Report.id = "EXT.COMP";
-    title = "Compositional predictability (the paper's future work)";
+  { Report.title = "Compositional predictability (the paper's future work)";
     body = Prelude.Table.render table;
     checks =
       [ Report.check "mediant inequality: weakest <= interval bound"

@@ -84,7 +84,6 @@ let run () =
         | Arbiter.Arbitration.Round_robin | Arbiter.Arbitration.Fixed_priority
         | Arbiter.Arbitration.Ccsp _ -> ()))
     policies;
-  { Report.id = "TAB1.R4";
-    title = "CoMPSoC: composable TDM interconnect vs work-conserving arbitration";
+  { Report.title = "CoMPSoC: composable TDM interconnect vs work-conserving arbitration";
     body = Prelude.Table.render table;
     checks = List.rev !checks }

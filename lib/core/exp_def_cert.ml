@@ -162,8 +162,7 @@ let run () =
          | Untransformable -> None)
       rows
   in
-  { Report.id = "DEF.CERT";
-    title = "Certifier oracle: static verdicts match the executing modes";
+  { Report.title = "Certifier oracle: static verdicts match the executing modes";
     body = Prelude.Table.render table;
     checks =
       [ Report.check

@@ -64,8 +64,7 @@ let run () =
            yn (Sampled.tails_bracket r.row);
            yn (r.jobs_identical && r.rerun_identical) ])
     rows;
-  { Report.id = "DEF.SAMPLE";
-    title =
+  { Report.title =
       "Sampling oracle: seeded estimators bracket the exhaustive quantities";
     body = Prelude.Table.render table;
     checks =

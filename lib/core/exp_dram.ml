@@ -94,8 +94,7 @@ let run () =
         "co-runner sensitivity of victim worst latency: FCFS=%d cycles, AMC=%d cycles\n"
         fcfs_sensitivity amc_sensitivity
   in
-  { Report.id = "TAB2.R4";
-    title = "Predictable DRAM controllers: Predator (CCSP) and AMC (TDM) vs FCFS";
+  { Report.title = "Predictable DRAM controllers: Predator (CCSP) and AMC (TDM) vs FCFS";
     body;
     checks =
       List.rev

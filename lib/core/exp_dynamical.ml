@@ -31,8 +31,7 @@ let run () =
       systems
   in
   let verdict_of name = List.assoc name verdicts in
-  { Report.id = "RW.DYN";
-    title = "Bernardes: dynamical-system predictability via delta-shadowing";
+  { Report.title = "Bernardes: dynamical-system predictability via delta-shadowing";
     body = Prelude.Table.render table;
     checks =
       [ Report.check "circle rotation is predictable" (verdict_of "rotation(0.382)");

@@ -78,8 +78,7 @@ let run () =
          | None -> "-")
         alternate_verdict.Domino.diverges
   in
-  { Report.id = "EQ4";
-    title = "Domino effect: T(q1*)=9n+1 vs T(q2*)=12n, SIPr -> 3/4";
+  { Report.title = "Domino effect: T(q1*)=9n+1 vs T(q2*)=12n, SIPr -> 3/4";
     body;
     checks =
       [ Report.check "exact cycle counts 9n+1 and 12n for all sampled n" !exact;

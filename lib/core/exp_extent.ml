@@ -44,8 +44,7 @@ let run () =
     | first :: _ -> first.Extent.pr
     | [] -> Prelude.Ratio.one
   in
-  { Report.id = "EXT.EXTENT";
-    title = "Extent of uncertainty: partial knowledge buys predictability";
+  { Report.title = "Extent of uncertainty: partial knowledge buys predictability";
     body = Prelude.Table.render table;
     checks =
       [ Report.check "no uncertainty means perfect predictability (Pr = 1)"

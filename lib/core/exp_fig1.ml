@@ -44,8 +44,7 @@ let run () =
        (Harness.ratio_string pr) (Harness.ratio_string sipr)
        (Harness.ratio_string iipr)
        (Harness.ratio_string (Measures.thiele_wilhelm_overestimation summary)));
-  { Report.id = "FIG1";
-    title = "Distribution of execution times with LB/BCET/WCET/UB";
+  { Report.title = "Distribution of execution times with LB/BCET/WCET/UB";
     body = Buffer.contents body;
     checks =
       [ Report.check "LB <= BCET <= WCET <= UB" (Measures.well_ordered summary);

@@ -69,8 +69,7 @@ let run () =
          [ r.name; string_of_int r.cells; yn r.engines_agree;
            yn r.unmemoized_agree; yn r.warm_agree ])
     rows;
-  { Report.id = "FIG1.FAST";
-    title = "Fast-path equivalence oracle: engines produce bit-identical matrices";
+  { Report.title = "Fast-path equivalence oracle: engines produce bit-identical matrices";
     body = Prelude.Table.render table;
     checks =
       [ Report.check

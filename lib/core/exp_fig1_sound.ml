@@ -70,8 +70,7 @@ let run () =
            (if r.regs_contained then "yes" else "NO");
            string_of_int r.lint_errors ])
     rows;
-  { Report.id = "FIG1.SOUND";
-    title = "Figure-1 soundness oracle: bounds and intervals contain all observations";
+  { Report.title = "Figure-1 soundness oracle: bounds and intervals contain all observations";
     body = Prelude.Table.render table;
     checks =
       [ Report.check "LB <= min observed <= max observed <= UB for every workload"

@@ -85,8 +85,7 @@ let run () =
        in-order machine cannot — its per-instruction costs sum, so state\n\
        differences are absorbed, never amplified.\n"
   in
-  { Report.id = "TAB1.R7";
-    title = "Future architectures: compositional in-order + LRU vs OoO + FIFO";
+  { Report.title = "Future architectures: compositional in-order + LRU vs OoO + FIFO";
     body;
     checks =
       [ Report.check "recommended architecture has higher SIPr"

@@ -108,8 +108,7 @@ let run () =
     ^ Printf.sprintf "call/return program points in the trace: %d\n"
         call_ret_sites
   in
-  { Report.id = "TAB2.R1";
-    title = "Method cache: misses only at calls/returns, small analysis state";
+  { Report.title = "Method cache: misses only at calls/returns, small analysis state";
     body;
     checks =
       [ Report.check "method-cache miss points are confined to call/return sites"

@@ -81,7 +81,6 @@ let run () =
            (pipe_wcet <= ub)
          :: !checks)
     (workloads ());
-  { Report.id = "EXT.PIPE";
-    title = "Hazard-aware 5-stage pipelining: throughput without anomalies";
+  { Report.title = "Hazard-aware 5-stage pipelining: throughput without anomalies";
     body = Prelude.Table.render table;
     checks = List.rev !checks }

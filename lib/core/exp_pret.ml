@@ -54,8 +54,7 @@ let run () =
         "single-thread (dedicated pipeline) time: %d; interleaved thread time: %d (%.1fx)\n"
         solo interleaved (float_of_int interleaved /. float_of_int solo)
   in
-  { Report.id = "TAB1.R5";
-    title = "PRET thread-interleaved pipeline: context-independent thread timing";
+  { Report.title = "PRET thread-interleaved pipeline: context-independent thread timing";
     body;
     checks =
       [ Report.check "victim time identical across all co-runner mixes (input A)"

@@ -101,8 +101,7 @@ let run () =
     [ "burst (known windows, stream scheduled around)"; "0/300";
       string_of_int burst_max; string_of_int burst_bound;
       string_of_bool (burst_max <= burst_bound) ];
-  { Report.id = "TAB2.R5";
-    title = "Predictable DRAM refreshes: scheduled bursts vs unknown-phase distributed";
+  { Report.title = "Predictable DRAM refreshes: scheduled bursts vs unknown-phase distributed";
     body = Prelude.Table.render table;
     checks =
       [ Report.check

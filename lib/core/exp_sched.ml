@@ -62,8 +62,7 @@ let run () =
         "victim response spread across scenarios: cyclic=%d, preemptive FP=%d\n"
         cyclic_spread fp_spread
   in
-  { Report.id = "EXT.SCHED";
-    title = "Static cyclic executive vs dynamic preemptive scheduling";
+  { Report.title = "Static cyclic executive vs dynamic preemptive scheduling";
     body;
     checks =
       [ Report.check

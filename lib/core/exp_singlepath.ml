@@ -66,7 +66,6 @@ let run () =
          :: Report.check (name ^ ": functional results preserved") equivalent
          :: !checks)
     rows;
-  { Report.id = "TAB2.R6";
-    title = "Single-path paradigm: input-induced variability eliminated";
+  { Report.title = "Single-path paradigm: input-induced variability eliminated";
     body = Prelude.Table.render table;
     checks = List.rev !checks }

@@ -55,8 +55,7 @@ let run () =
         "context-induced spread of RT thread time: fair=%d, priority=%d\n"
         fair_spread priority_spread
   in
-  { Report.id = "TAB1.R3";
-    title = "Time-predictable SMT: RT-thread priority removes context-induced variability";
+  { Report.title = "Time-predictable SMT: RT-thread priority removes context-induced variability";
     body;
     checks =
       [ Report.check "RT-priority: RT-thread time independent of co-runners"

@@ -93,8 +93,7 @@ let run () =
     [ "split caches (fully-assoc heap)";
       Printf.sprintf "%.1f%%" (100. *. split_fraction);
       string_of_int split_hits ];
-  { Report.id = "TAB2.R2";
-    title = "Split caches: unknown heap addresses stop destroying must-information";
+  { Report.title = "Split caches: unknown heap addresses stop destroying must-information";
     body = Prelude.Table.render table;
     checks =
       [ Report.check "split organisation classifies strictly more accesses"

@@ -77,8 +77,7 @@ let run () =
   in
   row "free-running (width 2)" plain_matrix plain_signatures;
   row "regulated at BB boundaries" reg_matrix reg_signatures;
-  { Report.id = "TAB1.R2";
-    title = "Time-predictable superscalar execution mode (flow regulation)";
+  { Report.title = "Time-predictable superscalar execution mode (flow regulation)";
     body = Prelude.Table.render table;
     checks =
       [ Report.check "regulation leaves exactly one BB-entry pipeline state"

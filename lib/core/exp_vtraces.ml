@@ -35,8 +35,7 @@ let run () =
   in
   row "out-of-order, greedy (baseline)" plain;
   row "virtual traces (reset + constant-time ops)" vtraces;
-  { Report.id = "TAB1.R6";
-    title = "Predictable out-of-order execution using virtual traces";
+  { Report.title = "Predictable out-of-order execution using virtual traces";
     body = Prelude.Table.render table;
     checks =
       [ Report.check "virtual traces: SIPr = 1 (no state-induced variability)"

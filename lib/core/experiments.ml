@@ -139,7 +139,7 @@ let of_journal_line json =
                 let body =
                   "(resumed from journal; rendered body not recorded)\n"
                 in
-                Some { Report.id; title; body; checks }
+                Some { Report.title; body; checks }
               | _ -> None);
            s_timing =
              { Report.wall_s =
@@ -317,7 +317,7 @@ let supervised_render s =
          else [])
         @ (if s.s_resumed then [ "resumed from journal" ] else [])
       in
-      Report.render outcome
+      Report.render ~id:s.s_id outcome
       ^ (if notes = [] then ""
          else Printf.sprintf "  (%s)\n" (String.concat "; " notes))
     | None ->

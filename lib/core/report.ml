@@ -4,7 +4,6 @@ type check = {
 }
 
 type outcome = {
-  id : string;
   title : string;
   body : string;
   checks : check list;
@@ -85,10 +84,10 @@ let status_of_json json =
     Error (Printf.sprintf "unknown experiment status %S" other)
   | Some _ -> Error "experiment \"status\" is not a string"
 
-let render outcome =
+let render ~id outcome =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Printf.sprintf "=== %s: %s ===\n" outcome.id outcome.title);
+    (Printf.sprintf "=== %s: %s ===\n" id outcome.title);
   Buffer.add_string buf outcome.body;
   if outcome.body <> "" && not (String.length outcome.body > 0 &&
                                 outcome.body.[String.length outcome.body - 1] = '\n')

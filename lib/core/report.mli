@@ -8,8 +8,7 @@ type check = {
 }
 
 type outcome = {
-  id : string;       (** experiment id from DESIGN.md (e.g. "TAB1.R3") *)
-  title : string;
+  title : string;    (** the text report's header; the registry holds the id *)
   body : string;     (** rendered tables / series / histograms *)
   checks : check list;
 }
@@ -38,7 +37,10 @@ type status =
 
 val check : string -> bool -> check
 val all_passed : outcome -> bool
-val render : outcome -> string
+val render : id:string -> outcome -> string
+(** The text report: an [=== id: title ===] header (the id is the
+    registry's, from DESIGN.md, e.g. ["TAB1.R3"]), the body and one
+    [PASS]/[FAIL] line per check. *)
 
 val timing_string : timing -> string
 (** e.g. ["wall 0.123s  Q*I cells 540  kernel evals 540"]. *)

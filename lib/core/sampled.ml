@@ -105,13 +105,9 @@ let exhaustive_to_json x =
       ("mean", Prelude.Json.Float x.x_mean) ]
 
 let row_to_json row =
-  let base =
-    match Sampling.Sampler.to_json row.sampled with
-    | Prelude.Json.Obj fields -> fields
-    | _ -> assert false
-  in
   Prelude.Json.Obj
-    (( "workload", Prelude.Json.String row.workload ) :: base
+    (( "workload", Prelude.Json.String row.workload )
+     :: Sampling.Sampler.fields row.sampled
      @
      match row.exhaustive with
      | None -> []

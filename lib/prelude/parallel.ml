@@ -44,11 +44,11 @@ let () =
            deadline_s)
     | _ -> None)
 
-(* (start time, budget) of the innermost deadlined task running on this
+(* (start time, budget) of the innermost [with_deadline] running on this
    domain, if any. Purely cooperative: OCaml domains cannot be preempted,
    so overruns are detected at checkpoints ([check_deadline], which the
-   slice loop below hits before every element) and post-hoc when a task
-   returns. *)
+   slice loop below hits before every element) and post-hoc when the
+   thunk returns. *)
 let task_deadline = Domain.DLS.new_key (fun () -> None)
 
 let check_deadline () =
@@ -185,27 +185,17 @@ type task_error = {
   backtrace : Printexc.raw_backtrace;
 }
 
-(* Run one isolated task: arm the cooperative deadline for this domain,
-   pass through the "parallel.task" fault site, and catch everything —
-   [with_deadline] adds the post-hoc overrun check for tasks that ran past
-   their budget without reaching a checkpoint. Never raises, so [map] over
-   guarded tasks keeps every task's verdict and never cuts a batch short. *)
-let guarded ~deadline_s f (index, x) =
-  let body () =
+(* Run one isolated task: pass through the "parallel.task" fault site and
+   catch everything. Never raises, so [map] over guarded tasks keeps every
+   task's verdict and never cuts a batch short. *)
+let guarded f (index, x) =
+  match
     Faults.point "parallel.task";
     f x
-  in
-  match
-    match deadline_s with
-    | None -> body ()
-    | Some deadline_s -> with_deadline ~deadline_s body
   with
   | v -> Ok v
   | exception exn ->
     Error { index; exn; backtrace = Printexc.get_raw_backtrace () }
 
-let map_result ?jobs ?deadline_s f xs =
-  (match deadline_s with
-   | Some d when d <= 0. -> invalid_arg "Parallel.map_result: deadline must be > 0"
-   | _ -> ());
-  map ?jobs (guarded ~deadline_s f) (List.mapi (fun i x -> (i, x)) xs)
+let map_result ?jobs f xs =
+  map ?jobs (guarded f) (List.mapi (fun i x -> (i, x)) xs)

@@ -57,15 +57,15 @@ exception Multiple_failures of { count : int; first : exn }
     one. A single failure re-raises the original exception unchanged. *)
 
 exception Deadline_exceeded of { elapsed_s : float; deadline_s : float }
-(** A task overran its cooperative [?deadline_s] budget. Raised at
-    checkpoints ({!check_deadline}, hit between elements by every nested
-    [Parallel] loop) and post-hoc when a deadlined {!map_result} task
-    returns after its budget. *)
+(** A thunk overran the cooperative budget {!with_deadline} armed for
+    it. Raised at checkpoints ({!check_deadline}, hit between elements by
+    every nested [Parallel] loop) and post-hoc when the thunk returns
+    after its budget. *)
 
 val check_deadline : unit -> unit
 (** Cooperative checkpoint: no-op unless the innermost enclosing
-    {!with_deadline} / deadlined {!map_result} task on this domain has
-    overrun its budget, in which case {!Deadline_exceeded} is raised.
+    {!with_deadline} on this domain has overrun its budget, in which case
+    {!Deadline_exceeded} is raised.
     Long-running kernels may call this at safe points; all [Parallel]
     element loops already do. *)
 
@@ -93,17 +93,13 @@ type task_error = {
 }
 
 val map_result :
-  ?jobs:int -> ?deadline_s:float -> ('a -> 'b) -> 'a list ->
-  ('b, task_error) Stdlib.result list
+  ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, task_error) Stdlib.result list
 (** Per-task isolation: {!map} over tasks that catch their own failure,
     so a raising task yields [Error { index; exn; backtrace }] at its
     input position instead of poisoning the whole batch — every other
-    task still runs and returns [Ok]. With [?deadline_s], each task gets
-    that cooperative budget (measured from the moment the task starts
-    running, not from submission): an overrun detected at a
-    {!check_deadline} checkpoint or when the task returns yields [Error]
-    with {!Deadline_exceeded}. Results are in input order for any [jobs],
-    and the fan-out, its width degradation, nested-call inlining and
-    counter crediting are {!map}'s. Tasks pass through the ["parallel.task"]
-    {!Faults} site.
-    @raise Invalid_argument if [deadline_s <= 0]. *)
+    task still runs and returns [Ok]. A task that arms {!with_deadline}
+    itself (as the experiment supervisor does, per attempt) and overruns
+    yields [Error] with {!Deadline_exceeded}. Results are in input order
+    for any [jobs], and the fan-out, its width degradation, nested-call
+    inlining and counter crediting are {!map}'s. Tasks pass through the
+    ["parallel.task"] {!Faults} site. *)

@@ -210,16 +210,15 @@ let spec_to_json spec =
       ("exceed_p", Prelude.Json.Float spec.exceed_p);
       ("seed", Prelude.Json.Int spec.seed) ]
 
-let to_json r =
-  Prelude.Json.Obj
-    [ ("n_states", Prelude.Json.Int r.n_states);
-      ("n_inputs", Prelude.Json.Int r.n_inputs);
-      ("seed", Prelude.Json.Int r.spec.seed);
-      ("spec", spec_to_json r.spec);
-      ("pr", Estimate.to_json r.pr);
-      ("sipr", Estimate.to_json r.sipr);
-      ("iipr", Estimate.to_json r.iipr);
-      ("mean_time", Estimate.to_json r.mean);
-      ("bcet_tail", Estimate.to_json r.bcet_tail);
-      ("wcet_tail", Estimate.to_json r.wcet_tail);
-      ("evals", Prelude.Json.Int r.evals) ]
+let fields r =
+  [ ("n_states", Prelude.Json.Int r.n_states);
+    ("n_inputs", Prelude.Json.Int r.n_inputs);
+    ("seed", Prelude.Json.Int r.spec.seed);
+    ("spec", spec_to_json r.spec);
+    ("pr", Estimate.to_json r.pr);
+    ("sipr", Estimate.to_json r.sipr);
+    ("iipr", Estimate.to_json r.iipr);
+    ("mean_time", Estimate.to_json r.mean);
+    ("bcet_tail", Estimate.to_json r.bcet_tail);
+    ("wcet_tail", Estimate.to_json r.wcet_tail);
+    ("evals", Prelude.Json.Int r.evals) ]

@@ -86,7 +86,8 @@ val stratified_estimate :
 
 val spec_to_json : spec -> Prelude.Json.t
 
-val to_json : result -> Prelude.Json.t
-(** One object per analysis: dimensions, seed, spec, and one
-    {!Estimate.to_json} object ([estimate]/[ci_lo]/[ci_hi]/[confidence]/
-    [n_samples]/[method]) per quantity, plus the evaluation count. *)
+val fields : result -> (string * Prelude.Json.t) list
+(** One analysis as object fields, for splicing into a report row:
+    dimensions, seed, spec, and one {!Estimate.to_json} object
+    ([estimate]/[ci_lo]/[ci_hi]/[confidence]/[n_samples]/[method]) per
+    quantity, plus the evaluation count. *)

@@ -89,15 +89,29 @@ let write_raw fd s =
   in
   go 0
 
-let status_of line =
-  match Json.parse line with
-  | Error _ -> None
-  | Ok json -> Option.bind (Json.member "status" json) Json.string_value
+(* A raw probe's response line, read as [Protocol] reads an envelope. *)
+let reply_of_line line = Result.bind (Json.parse line) Protocol.reply_of_json
 
-let is_ok_envelope line =
-  match Json.parse line with
-  | Error _ -> false
-  | Ok json -> Json.member "ok" json = Some (Json.Bool true)
+let answered line =
+  match reply_of_line line with Ok (Protocol.Answered _) -> true | _ -> false
+
+let status_of line =
+  match reply_of_line line with
+  | Ok (Protocol.Refused { status; _ }) -> status
+  | _ -> None
+
+let stats_request = Protocol.request_to_json Protocol.Stats
+
+(* The stats document of a reply. A refusal is an error: a healthy daemon
+   answers every stats request. *)
+let stats_result = function
+  | Ok (Protocol.Answered { result; _ }) -> Ok result
+  | Ok (Protocol.Refused { message; _ }) -> Error ("stats refused: " ^ message)
+  | Error m -> Error m
+
+(* One stats round trip on a connection of its own. *)
+let stats_call socket =
+  stats_result (Client.call ~timeout_s:5. socket stats_request)
 
 (* --- Phase A: connection edges ------------------------------------------- *)
 
@@ -145,7 +159,7 @@ let slow_writer socket =
       | Ok () -> (
           let reader = Lineio.reader fd in
           match Lineio.read_line ~idle_s:5. reader with
-          | `Line l when is_ok_envelope l -> []
+          | `Line l when answered l -> []
           | `Line l ->
             [ { subject = "slow-writer";
                 detail = "dripped request answered with " ^ l } ]
@@ -175,7 +189,7 @@ let oversized_frame socket =
                     detail = "connection lost after the envelope: " ^ detail } ]
               | Ok () -> (
                   match Lineio.read_line ~idle_s:5. reader with
-                  | `Line l when is_ok_envelope l -> []
+                  | `Line l when answered l -> []
                   | _ ->
                     [ { subject = "oversized";
                         detail = "connection did not survive the frame" } ]))
@@ -199,18 +213,9 @@ let wedged_with_sibling socket =
     let sibling =
       Domain.spawn (fun () ->
           let started = Prelude.Mono.now () in
-          match Client.connect socket with
-          | Error m -> Error m
-          | Ok c ->
-            Fun.protect
-              ~finally:(fun () -> Client.close c)
-              (fun () ->
-                 match
-                   Client.request ~timeout_s:5. c
-                     (Protocol.request_to_json Protocol.Stats)
-                 with
-                 | Ok _ -> Ok (Prelude.Mono.now () -. started)
-                 | Error e -> Error (Client.error_message e)))
+          Result.map
+            (fun _ -> Prelude.Mono.now () -. started)
+            (stats_call socket))
     in
     let sibling_outcome =
       match Domain.join sibling with
@@ -247,34 +252,25 @@ let concurrent_burst ~rng socket =
     List.map
       (fun name ->
          Domain.spawn (fun () ->
-             match Client.connect socket with
+             match
+               Client.call ~timeout_s:30. socket
+                 (Protocol.request_to_json
+                    (Protocol.Certify { workloads = [ name ] }))
+             with
              | Error m -> Error m
-             | Ok c ->
-               Fun.protect
-                 ~finally:(fun () -> Client.close c)
-                 (fun () ->
-                    match
-                      Client.request ~timeout_s:30. c
-                        (Protocol.request_to_json
-                           (Protocol.Certify { workloads = [ name ] }))
-                    with
-                    | Error e -> Error (Client.error_message e)
-                    | Ok response -> (
-                        match Json.member "result" response with
-                        | Some result ->
-                          let expected =
-                            Predictability.Certifier.report_to_json
-                              [ Predictability.Certifier.row
-                                  (Isa.Workload.find name) ]
-                          in
-                          if Json.to_string result = Json.to_string expected
-                          then Ok ()
-                          else
-                            Error
-                              (Printf.sprintf
-                                 "certify %s diverged from the CLI \
-                                  constructor document" name)
-                        | None -> Error "success envelope without a result"))))
+             | Ok (Protocol.Refused { message; _ }) ->
+               Error (Printf.sprintf "certify %s refused: %s" name message)
+             | Ok (Protocol.Answered { result; _ }) ->
+               let expected =
+                 Predictability.Certifier.report_to_json
+                   [ Predictability.Certifier.row (Isa.Workload.find name) ]
+               in
+               if Json.to_string result = Json.to_string expected then Ok ()
+               else
+                 Error
+                   (Printf.sprintf
+                      "certify %s diverged from the CLI constructor document"
+                      name)))
       picks
   in
   List.concat_map
@@ -285,30 +281,15 @@ let concurrent_burst ~rng socket =
     clients
 
 let final_counts socket =
-  match Client.connect socket with
-  | Error m -> Error m
-  | Ok c ->
-    Fun.protect
-      ~finally:(fun () -> Client.close c)
-      (fun () ->
-         match
-           Client.request ~timeout_s:5. c
-             (Protocol.request_to_json Protocol.Stats)
-         with
-         | Error e -> Error (Client.error_message e)
-         | Ok response -> (
-             match Json.member "result" response with
-             | None -> Error "stats envelope without a result"
-             | Some result ->
-               let int name =
-                 match
-                   Option.bind (Json.member name result) Json.int_value
-                 with
-                 | Some n -> n
-                 | None -> -1
-               in
-               Ok { shed = int "shed"; reaped_idle = int "reaped_idle";
-                    oversized_frames = int "oversized_frames" }))
+  Result.map
+    (fun stats ->
+       let int name =
+         Option.value ~default:(-1)
+           (Option.bind (Json.member name stats) Json.int_value)
+       in
+       { shed = int "shed"; reaped_idle = int "reaped_idle";
+         oversized_frames = int "oversized_frames" })
+    (stats_call socket)
 
 let edge_phase ~rng () =
   let socket = temp_socket () in
@@ -373,72 +354,65 @@ let backpressure_phase () =
            Fun.protect
              ~finally:(fun () -> Client.close holder)
              (fun () ->
+                let stats () =
+                  stats_result
+                    (Result.map_error Client.error_message
+                       (Client.reply ~timeout_s:5. holder stats_request))
+                in
                 (* A completed round trip proves the single worker now owns
                    this connection; every later connect must shed. *)
-                match
-                  Client.request ~timeout_s:5. holder
-                    (Protocol.request_to_json Protocol.Stats)
-                with
-                | Error e ->
-                  [ { subject = "backpressure";
-                      detail = Client.error_message e } ]
+                match stats () with
+                | Error detail -> [ { subject = "backpressure"; detail } ]
                 | Ok _ ->
                   let sheds =
                     List.init backpressure_clients (fun i ->
+                        let subject = Printf.sprintf "backpressure/%d" i in
                         match Client.connect socket with
-                        | Error m ->
-                          [ { subject = Printf.sprintf "backpressure/%d" i;
-                              detail = m } ]
+                        | Error detail -> [ { subject; detail } ]
                         | Ok c ->
                           Fun.protect
                             ~finally:(fun () -> Client.close c)
                             (fun () ->
                                match Client.recv ~timeout_s:5. c with
-                               | Ok response
-                                 when Option.bind
-                                        (Json.member "status" response)
-                                        Json.string_value
-                                      = Some "overloaded" -> []
-                               | Ok response ->
-                                 [ { subject =
-                                       Printf.sprintf "backpressure/%d" i;
-                                     detail =
-                                       "expected the overloaded envelope, \
-                                        got " ^ Json.to_string response } ]
+                               | Ok response -> (
+                                   match Protocol.reply_of_json response with
+                                   | Ok
+                                       (Protocol.Refused
+                                          { status = Some "overloaded"; _ }) ->
+                                     []
+                                   | _ ->
+                                     [ { subject;
+                                         detail =
+                                           "expected the overloaded \
+                                            envelope, got "
+                                           ^ Json.to_string response } ])
                                | Error e ->
-                                 [ { subject =
-                                       Printf.sprintf "backpressure/%d" i;
+                                 [ { subject;
                                      detail = Client.error_message e } ]))
                   in
-                  let stats =
-                    match
-                      Client.request ~timeout_s:5. holder
-                        (Protocol.request_to_json Protocol.Stats)
-                    with
-                    | Error e ->
-                      [ { subject = "backpressure/stats";
-                          detail = Client.error_message e } ]
-                    | Ok response -> (
+                  let shed =
+                    match stats () with
+                    | Error detail ->
+                      [ { subject = "backpressure/stats"; detail } ]
+                    | Ok stats -> (
                         match
-                          Option.bind (Json.member "result" response)
-                            (fun r -> Json.member "shed" r)
-                          |> Fun.flip Option.bind Json.int_value
+                          Option.bind (Json.member "shed" stats)
+                            Json.int_value
                         with
-                        | Some n when n = backpressure_clients ->
-                          shed_seen := n;
-                          []
                         | Some n ->
                           shed_seen := n;
-                          [ { subject = "backpressure/stats";
-                              detail =
-                                Printf.sprintf
-                                  "expected exactly %d shed, got %d"
-                                  backpressure_clients n } ]
+                          if n = backpressure_clients then []
+                          else
+                            [ { subject = "backpressure/stats";
+                                detail =
+                                  Printf.sprintf
+                                    "expected exactly %d shed, got %d"
+                                    backpressure_clients n } ]
                         | None ->
                           [ { subject = "backpressure/stats";
                               detail = "stats without a shed count" } ])
                   in
-                  List.concat sheds @ stats))
+                  List.concat sheds @ shed))
   in
   (!shed_seen, violations)
 
@@ -464,44 +438,15 @@ let fault_phase ~plan () =
                  none may cost the daemon. Every attempt is a fresh
                  connection so a dropped one never poisons the next. *)
               for _ = 1 to fault_attempts do
-                match Client.connect socket with
-                | Error _ -> ()
-                | Ok c ->
-                  (match
-                     Client.request ~timeout_s:5. c
-                       (Protocol.request_to_json Protocol.Stats)
-                   with
-                   | Ok response
-                     when Json.member "ok" response = Some (Json.Bool true)
-                     -> incr ok
-                   | Ok _ | Error _ -> ());
-                  Client.close c
+                if Result.is_ok (stats_call socket) then incr ok
               done);
          (* Disarmed, the daemon must answer cleanly — the faults were
             contained, not accumulated. *)
-         match Client.connect socket with
-         | Error m ->
+         match stats_call socket with
+         | Ok _ -> []
+         | Error detail ->
            [ { subject = "faults/recovery";
-               detail = "cannot connect after disarm: " ^ m } ]
-         | Ok c ->
-           Fun.protect
-             ~finally:(fun () -> Client.close c)
-             (fun () ->
-                match
-                  Client.request ~timeout_s:5. c
-                    (Protocol.request_to_json Protocol.Stats)
-                with
-                | Ok response
-                  when Json.member "ok" response = Some (Json.Bool true) ->
-                  []
-                | Ok response ->
-                  [ { subject = "faults/recovery";
-                      detail =
-                        "disarmed daemon answered " ^ Json.to_string response
-                    } ]
-                | Error e ->
-                  [ { subject = "faults/recovery";
-                      detail = Client.error_message e } ]))
+               detail = "after disarm: " ^ detail } ])
   in
   (!ok, violations)
 

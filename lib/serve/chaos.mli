@@ -23,6 +23,12 @@
     Each daemon comes from {!Daemon.start}, so it installs no signal
     handler: Ctrl-C stops the campaign, not the daemon under test.
 
+    Every response is read through {!Protocol.reply_of_json}, the reader
+    behind [predlab query]'s exit class, so a probe's verdict and what a
+    script would see come from one reading of the envelope. The
+    well-behaved round trips are {!Client.call}s; the raw-socket probes
+    write bytes no client would.
+
     A violation is anything outside that contract: a dead daemon, a
     non-deterministic shed/reap count, a diverging response document, a
     close that found its descriptor already closed (subject

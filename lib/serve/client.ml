@@ -74,7 +74,18 @@ let request ?timeout_s t json =
          | Error (Timeout _) -> Error (Timeout budget)
          | other -> other)
 
+let reply ?timeout_s t json =
+  Result.bind (request ?timeout_s t json) (fun response ->
+      Result.map_error (fun m -> Malformed m) (Protocol.reply_of_json response))
+
 (* Close at most once: after the first close the kernel may hand the same
    descriptor number to another socket, which a second close would shut. *)
 let close t =
   if Atomic.compare_and_set t.closed false true then Lineio.close t.fd
+
+let call ?timeout_s socket json =
+  Result.bind (connect socket) (fun t ->
+      Fun.protect
+        ~finally:(fun () -> close t)
+        (fun () ->
+           Result.map_error error_message (reply ?timeout_s t json)))

@@ -16,9 +16,10 @@ type error =
           deadline overrun *)
   | Closed of string   (** the daemon hung up (or shed the connection) *)
   | Malformed of string
-      (** the response line was not parseable JSON or blew the frame
-          cap — a daemon bug, not a request error; request errors come
-          back as [Ok] envelopes with [ok: false] *)
+      (** the response line was not parseable JSON, blew the frame cap
+          or (from {!reply}) was not an envelope — a daemon bug, not a
+          request error; request errors come back as [Ok] envelopes with
+          [ok: false], which {!reply} reads as [Refused] *)
 
 val error_message : error -> string
 (** Human-readable rendering for CLI/stderr use. *)
@@ -37,6 +38,20 @@ val connect :
 val request : ?timeout_s:float -> t -> Prelude.Json.t -> (Prelude.Json.t, error) result
 (** Send one request line, read one response line, parse it. The
     [timeout_s] budget spans the whole round trip (send + receive). *)
+
+val reply :
+  ?timeout_s:float -> t -> Prelude.Json.t -> (Protocol.reply, error) result
+(** {!request}, then the response read back as an envelope by
+    {!Protocol.reply_of_json}: a daemon's refusal is [Ok (Refused _)],
+    and a response that is not an envelope is [Malformed]. *)
+
+val call :
+  ?timeout_s:float -> string -> Prelude.Json.t ->
+  (Protocol.reply, string) result
+(** One whole round trip on a connection of its own: {!connect} (no
+    retry) to the socket path, {!reply}, {!close}. [Error] is the connect
+    failure, which names the path, or the {!error_message} of a failed
+    round trip. *)
 
 val send : ?timeout_s:float -> t -> Prelude.Json.t -> (unit, error) result
 (** Write one request line without waiting for the response — the

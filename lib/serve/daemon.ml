@@ -1,5 +1,4 @@
 module Json = Prelude.Json
-module Counter = Prelude.Counter
 module Lineio = Prelude.Lineio
 module Faults = Prelude.Faults
 
@@ -48,8 +47,8 @@ type entry = {
      the shed decision sees queue and busy workers as one picture, and
      removes it from [live] *before* closing it, so drain can never
      shut down a recycled descriptor.
-   - Everything else shared is a {!Prelude.Counter} (atomic) or
-     [Atomic.t]; plain mutable fields would be data races under domains. *)
+   - Everything else shared is an [Atomic.t]; plain mutable fields would
+     be data races under domains. *)
 type state = {
   config : config;
   listener : Unix.file_descr;
@@ -57,18 +56,18 @@ type state = {
   engines : (string, entry) Hashtbl.t;
   engines_mu : Mutex.t;
   started : float;  (* Mono.now at listen time *)
-  served : Counter.t;
-  errors : Counter.t;
-  in_flight : Counter.t;
-  shed : Counter.t;
-  reaped_idle : Counter.t;
-  oversized_frames : Counter.t;
+  served : int Atomic.t;
+  errors : int Atomic.t;
+  in_flight : int Atomic.t;
+  shed : int Atomic.t;
+  reaped_idle : int Atomic.t;
+  oversized_frames : int Atomic.t;
   (* Instrument counters live in domain-local storage; each request's
      delta is folded in here so stats aggregate across workers. *)
-  c_evals : Counter.t;
-  c_cells : Counter.t;
-  c_memo_hits : Counter.t;
-  c_memo_misses : Counter.t;
+  c_evals : int Atomic.t;
+  c_cells : int Atomic.t;
+  c_memo_hits : int Atomic.t;
+  c_memo_misses : int Atomic.t;
   stopping : bool Atomic.t;
   conns_mu : Mutex.t;
   conns_cond : Condition.t;
@@ -185,20 +184,20 @@ let handle_stats t =
          ("jobs", Json.Int t.config.jobs);
          ("conns", Json.Int t.config.conns);
          ("queue_bound", Json.Int t.config.queue);
-         ("served", Json.Int (Counter.get t.served));
-         ("errors", Json.Int (Counter.get t.errors));
-         ("in_flight", Json.Int (Counter.get t.in_flight));
+         ("served", Json.Int (Atomic.get t.served));
+         ("errors", Json.Int (Atomic.get t.errors));
+         ("in_flight", Json.Int (Atomic.get t.in_flight));
          ("active_connections", Json.Int active);
          ("queue_depth", Json.Int queued);
-         ("shed", Json.Int (Counter.get t.shed));
-         ("reaped_idle", Json.Int (Counter.get t.reaped_idle));
-         ("oversized_frames", Json.Int (Counter.get t.oversized_frames));
+         ("shed", Json.Int (Atomic.get t.shed));
+         ("reaped_idle", Json.Int (Atomic.get t.reaped_idle));
+         ("oversized_frames", Json.Int (Atomic.get t.oversized_frames));
          ("fd_errors", Json.Int (Lineio.bad_closes ()));
          ("draining", Json.Bool (Atomic.get t.stopping));
-         ("memo_hits", Json.Int (Counter.get t.c_memo_hits));
-         ("memo_misses", Json.Int (Counter.get t.c_memo_misses));
-         ("evals", Json.Int (Counter.get t.c_evals));
-         ("cells", Json.Int (Counter.get t.c_cells));
+         ("memo_hits", Json.Int (Atomic.get t.c_memo_hits));
+         ("memo_misses", Json.Int (Atomic.get t.c_memo_misses));
+         ("evals", Json.Int (Atomic.get t.c_evals));
+         ("cells", Json.Int (Atomic.get t.c_cells));
          ("memo_cells", Json.Int memo_cells);
          ("memo_bound", Json.Int t.config.memo_bound);
          ("engines", Json.List engines) ])
@@ -209,7 +208,7 @@ let handle_shutdown t =
        [ ("schema", Json.String "predlab/serve-shutdown");
          ("version", Json.Int 1);
          ("stopping", Json.Bool true);
-         ("served", Json.Int (Counter.get t.served + 1));
+         ("served", Json.Int (Atomic.get t.served + 1));
          ("uptime_s", Json.Float (Prelude.Mono.now () -. t.started)) ])
 
 (* --- Dispatch ------------------------------------------------------------
@@ -255,40 +254,42 @@ let dispatch t (request, deadline_override) =
   | exception Invalid_argument message -> Protocol.error ~op message
   | exception exn -> Protocol.error ~op (Printexc.to_string exn)
 
-let is_error = function
-  | Json.Obj fields -> List.assoc_opt "ok" fields = Some (Json.Bool false)
-  | _ -> false
+let is_error response =
+  match Protocol.reply_of_json response with
+  | Ok (Protocol.Refused _) -> true
+  | Ok (Protocol.Answered _) | Error _ -> false
 
 (* One request line in, one response line out. Returns [true] when the
    daemon should stop (a shutdown response is about to be flushed). *)
 let process t line =
-  let response, stop =
+  let response, shutdown =
     match Json.parse line with
     | Error message -> (Protocol.error ("parse error: " ^ message), false)
     | Ok json -> (
         match Protocol.request_of_json json with
         | Error message -> (Protocol.error message, false)
         | Ok ((request, _) as parsed) ->
-          Counter.incr t.in_flight;
+          Atomic.incr t.in_flight;
           let before = Prelude.Instrument.snapshot () in
           let response =
             Fun.protect
               ~finally:(fun () ->
-                Counter.decr t.in_flight;
+                Atomic.decr t.in_flight;
                 let a = Prelude.Instrument.snapshot ()
                 and b = before in
+                let add counter n = ignore (Atomic.fetch_and_add counter n) in
                 let open Prelude.Instrument in
-                Counter.add t.c_evals (a.evals - b.evals);
-                Counter.add t.c_cells (a.cells - b.cells);
-                Counter.add t.c_memo_hits (a.memo_hits - b.memo_hits);
-                Counter.add t.c_memo_misses (a.memo_misses - b.memo_misses))
+                add t.c_evals (a.evals - b.evals);
+                add t.c_cells (a.cells - b.cells);
+                add t.c_memo_hits (a.memo_hits - b.memo_hits);
+                add t.c_memo_misses (a.memo_misses - b.memo_misses))
               (fun () -> dispatch t parsed)
           in
-          (response, request = Protocol.Shutdown && not (is_error response)))
+          (response, request = Protocol.Shutdown))
   in
-  if is_error response then Counter.incr t.errors
-  else Counter.incr t.served;
-  (Json.to_string response, stop)
+  let refused = is_error response in
+  Atomic.incr (if refused then t.errors else t.served);
+  (Json.to_string response, shutdown && not refused)
 
 (* --- Connections ---------------------------------------------------------
 
@@ -315,7 +316,7 @@ let serve_connection t fd =
         (* Wedged or slowloris peer: reap it. The notice write gets a
            short budget of its own — a peer too wedged to read it just
            loses the connection a moment sooner. *)
-        Counter.incr t.reaped_idle;
+        Atomic.incr t.reaped_idle;
         ignore
           (Lineio.write_line ~deadline_s:1.0 fd
              (Json.to_string
@@ -324,8 +325,8 @@ let serve_connection t fd =
                    "idle timeout: no complete request frame arrived in \
                     time")))
       | `Oversized ->
-        Counter.incr t.oversized_frames;
-        Counter.incr t.errors;
+        Atomic.incr t.oversized_frames;
+        Atomic.incr t.errors;
         let line =
           Json.to_string (Protocol.oversized ~max_frame:t.config.max_frame)
         in
@@ -375,7 +376,7 @@ let worker_loop t =
   next ()
 
 let shed_connection t fd =
-  Counter.incr t.shed;
+  Atomic.incr t.shed;
   let line =
     Json.to_string
       (Protocol.overloaded ~conns:t.config.conns ~queue:t.config.queue)
@@ -540,11 +541,11 @@ let claim config =
     engines = Hashtbl.create 8;
     engines_mu = Mutex.create ();
     started = Prelude.Mono.now ();
-    served = Counter.make (); errors = Counter.make ();
-    in_flight = Counter.make (); shed = Counter.make ();
-    reaped_idle = Counter.make (); oversized_frames = Counter.make ();
-    c_evals = Counter.make (); c_cells = Counter.make ();
-    c_memo_hits = Counter.make (); c_memo_misses = Counter.make ();
+    served = Atomic.make 0; errors = Atomic.make 0;
+    in_flight = Atomic.make 0; shed = Atomic.make 0;
+    reaped_idle = Atomic.make 0; oversized_frames = Atomic.make 0;
+    c_evals = Atomic.make 0; c_cells = Atomic.make 0;
+    c_memo_hits = Atomic.make 0; c_memo_misses = Atomic.make 0;
     stopping = Atomic.make false;
     conns_mu = Mutex.create ();
     conns_cond = Condition.create ();

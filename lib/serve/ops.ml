@@ -95,8 +95,7 @@ let sample_exit doc =
   | Some (Json.List rows) when List.exists escaped rows -> 1
   | _ -> 0
 
-let error_exit envelope =
-  match Option.bind (Json.member "status" envelope) Json.string_value with
+let error_exit = function
   | Some "usage" -> 2
   | Some "timed_out" -> 3
   | Some "overloaded" -> 5

@@ -106,6 +106,7 @@ val find : string -> entry option
 val render : entry -> Prelude.Json.t -> string
 (** The exact bytes printed for a result document. *)
 
-val error_exit : Prelude.Json.t -> int
-(** The exit class of a daemon error envelope, from its [status]: 2
-    usage, 3 timed out, 5 overloaded, otherwise 1. *)
+val error_exit : string option -> int
+(** The exit class of a daemon refusal, from its
+    {!Protocol.Refused} [status]: 2 usage, 3 timed out, 5 overloaded,
+    otherwise (no status included) 1. *)

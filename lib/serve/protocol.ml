@@ -184,3 +184,25 @@ let oversized ~max_frame =
         ("max_frame", Json.Int max_frame) ]
     (Printf.sprintf
        "frame exceeds %d bytes; request dropped, connection kept" max_frame)
+
+(* --- Reading an envelope back ------------------------------------------- *)
+
+type reply =
+  | Answered of { op : string option; result : Json.t }
+  | Refused of { message : string; status : string option }
+
+let reply_of_json json =
+  let member name = Json.member name json in
+  let string name = Option.bind (member name) Json.string_value in
+  match member "ok" with
+  | Some (Json.Bool true) ->
+    Ok
+      (Answered
+         { op = string "op";
+           result = Option.value ~default:Json.Null (member "result") })
+  | Some (Json.Bool false) ->
+    Ok
+      (Refused
+         { message = Option.value ~default:"unknown error" (string "error");
+           status = string "status" })
+  | _ -> Error "malformed response envelope"

@@ -3,7 +3,8 @@
     One compact JSON object per line in each direction. Requests carry an
     ["op"] discriminator; responses are an envelope
     [{"ok": true, "op": OP, "result": DOC}] or
-    [{"ok": false, "op": OP?, "error": MSG, ...}] — where [DOC] for the
+    [{"ok": false, "op": OP?, "error": MSG, ...}] (read back by
+    {!reply_of_json}) — where [DOC] for the
     [run]/[sample]/[lint]/[certify] ops is {e exactly} the document the
     one-shot CLI
     prints under [--format json] (same schema, same emitter), so a serve
@@ -86,3 +87,25 @@ val oversized : max_frame:int -> Prelude.Json.t
 (** The request-level error for a frame over the daemon's [--max-frame]
     byte cap: [status: "oversized"] plus the cap. The offending line is
     discarded whole and the connection stays open for the next request. *)
+
+(** {1 Reading an envelope back}
+
+    The one reader of the envelopes above: [predlab query], the daemon's
+    served/errors tally, the serve chaos campaign and the tests all go
+    through {!reply_of_json}, so the exit class a script sees and the
+    verdict the campaign gates on cannot read the same envelope two
+    ways. *)
+
+type reply =
+  | Answered of { op : string option; result : Prelude.Json.t }
+      (** [ok: true]: the echoed op, if any, and the result document
+          ([Null] if the envelope carries none) *)
+  | Refused of { message : string; status : string option }
+      (** [ok: false]: the ["error"] message (["unknown error"] if absent)
+          and the machine-readable ["status"], when there is one:
+          ["usage"], ["timed_out"], ["overloaded"], ["oversized"] or
+          ["idle_timeout"] *)
+
+val reply_of_json : Prelude.Json.t -> (reply, string) result
+(** Read a response envelope. [Error "malformed response envelope"] when
+    the document has no boolean ["ok"] (a non-object included). *)

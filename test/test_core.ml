@@ -468,7 +468,7 @@ let prop_extent_antitone_on_prefix_chains =
 
 let test_report_pass_fail () =
   let outcome =
-    { Predictability.Report.id = "X"; title = "t"; body = "";
+    { Predictability.Report.title = "t"; body = "";
       checks = [ Predictability.Report.check "ok" true ] }
   in
   Alcotest.(check bool) "all passed" true

@@ -11,8 +11,6 @@ let experiment_case (id, title, runner) =
   in
   Alcotest.test_case (id ^ ": " ^ title) speed (fun () ->
       let outcome = runner () in
-      Alcotest.(check string) "id matches registry" id
-        outcome.Predictability.Report.id;
       Alcotest.(check bool) "produces a non-empty report" true
         (String.length outcome.Predictability.Report.body > 0);
       List.iter

@@ -272,7 +272,7 @@ let test_run_all_bit_identical () =
     List.map
       (fun s ->
          match s.Predictability.Experiments.s_outcome with
-         | Some outcome -> outcome
+         | Some outcome -> (s.s_id, outcome)
          | None -> Alcotest.failf "%s did not complete" s.s_id)
       (Predictability.Experiments.run_supervised ~jobs ())
   in
@@ -281,10 +281,9 @@ let test_run_all_bit_identical () =
   Alcotest.(check int) "same number of outcomes"
     (List.length sequential) (List.length parallel);
   List.iter2
-    (fun (seq : Predictability.Report.outcome) par ->
+    (fun ((id, _) as seq) par ->
        Alcotest.(check bool)
-         (Printf.sprintf "outcome %s bit-identical across jobs 1/4"
-            seq.Predictability.Report.id)
+         (Printf.sprintf "outcome %s bit-identical across jobs 1/4" id)
          true (seq = par))
     sequential parallel
 

@@ -714,23 +714,6 @@ let test_lineio_close_counts_ebadf () =
   Alcotest.(check int) "second close counts one" (before + 1)
     (Lineio.bad_closes ())
 
-(* --- Counter ------------------------------------------------------------- *)
-
-let test_counter_exact_under_contention () =
-  let c = Prelude.Counter.make () in
-  Prelude.Counter.incr c;
-  Prelude.Counter.add c 4;
-  Prelude.Counter.decr c;
-  Alcotest.(check int) "sequential arithmetic" 4 (Prelude.Counter.get c);
-  let domains =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to 10_000 do Prelude.Counter.incr c done))
-  in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "no lost increments across 4 domains" 40_004
-    (Prelude.Counter.get c)
-
 let () =
   Alcotest.run "prelude"
     [ ("ratio",
@@ -812,7 +795,4 @@ let () =
          Alcotest.test_case "parameter validation" `Quick
            test_lineio_validation;
          Alcotest.test_case "a second close counts EBADF" `Quick
-           test_lineio_close_counts_ebadf ]);
-      ("counter",
-       [ Alcotest.test_case "exact under contention" `Quick
-           test_counter_exact_under_contention ]) ]
+           test_lineio_close_counts_ebadf ]) ]

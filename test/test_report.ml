@@ -25,7 +25,7 @@ let result ~id ~wall_s ~checks =
     s_attempts = 1; s_resumed = false;
     s_outcome =
       Some
-        { Report.id; title; body = "body\n";
+        { Report.title; body = "body\n";
           checks =
             List.map (fun (label, passed) -> Report.check label passed)
               checks };

@@ -53,28 +53,31 @@ let with_daemon ?jobs ?deadline_s ?memo_bound ?conns ?queue ?idle_s
   result
 
 let request ?deadline_s client req =
-  match Client.request client (Protocol.request_to_json ?deadline_s req) with
-  | Ok response -> response
+  match Client.reply client (Protocol.request_to_json ?deadline_s req) with
+  | Ok reply -> reply
   | Error error ->
     Alcotest.failf "round trip failed: %s" (Client.error_message error)
 
-let result_of response =
-  match Json.member "ok" response with
-  | Some (Json.Bool true) ->
-    Option.value ~default:Json.Null (Json.member "result" response)
-  | _ ->
-    Alcotest.failf "expected a success envelope, got %s"
-      (Json.to_string response)
+(* An envelope read as [Client.reply] reads one. *)
+let reply_of envelope =
+  match Protocol.reply_of_json envelope with
+  | Ok reply -> reply
+  | Error message -> Alcotest.failf "%s: %s" message (Json.to_string envelope)
 
-let error_of response =
-  match Json.member "ok" response with
-  | Some (Json.Bool false) -> (
-      match Option.bind (Json.member "error" response) Json.string_value with
-      | Some message -> message
-      | None -> Alcotest.failf "error envelope without a message")
-  | _ ->
-    Alcotest.failf "expected an error envelope, got %s"
-      (Json.to_string response)
+let result_of = function
+  | Protocol.Answered { result; _ } -> result
+  | Protocol.Refused { message; _ } ->
+    Alcotest.failf "expected a success envelope, got the refusal %S" message
+
+let error_of = function
+  | Protocol.Refused { message; _ } -> message
+  | Protocol.Answered { result; _ } ->
+    Alcotest.failf "expected an error envelope, got the result %s"
+      (Json.to_string result)
+
+let status_of = function
+  | Protocol.Refused { status; _ } -> status
+  | Protocol.Answered _ -> None
 
 let int_field name doc =
   match Option.bind (Json.member name doc) Json.int_value with
@@ -148,6 +151,48 @@ let test_protocol_rejects () =
       ("negative tolerance",
        {|{"op":"compare","baseline":{},"current":{},"tolerance":-1}|}) ]
 
+(* Every envelope the daemon writes reads back as the reply it stands
+   for, and a document without a boolean "ok" is no envelope at all. *)
+let test_reply_of_json () =
+  let result = Json.Obj [ ("n", Json.Int 1) ] in
+  let timed_out =
+    Protocol.error ~op:"sample"
+      ~fields:
+        [ ("status", Json.String "timed_out"); ("after_s", Json.Float 0.5) ]
+      "timed_out"
+  in
+  List.iter
+    (fun (label, envelope, expected) ->
+       match Protocol.reply_of_json envelope with
+       | Ok reply -> Alcotest.(check bool) label true (reply = expected)
+       | Error message -> Alcotest.failf "%s: %s" label message)
+    [ ("ok", Protocol.ok ~op:"eval" result,
+       Protocol.Answered { op = Some "eval"; result });
+      ("error with op", Protocol.error ~op:"run" "boom",
+       Protocol.Refused { message = "boom"; status = None });
+      ("error without op", Protocol.error "parse error: x",
+       Protocol.Refused { message = "parse error: x"; status = None });
+      ("timed out", timed_out,
+       Protocol.Refused { message = "timed_out"; status = Some "timed_out" });
+      ("overloaded", Protocol.overloaded ~conns:1 ~queue:0,
+       Protocol.Refused
+         { message =
+             "overloaded: all 1 connection workers busy and the pending \
+              queue (bound 0) is full; retry later";
+           status = Some "overloaded" });
+      ("oversized", Protocol.oversized ~max_frame:4096,
+       Protocol.Refused
+         { message =
+             "frame exceeds 4096 bytes; request dropped, connection kept";
+           status = Some "oversized" }) ];
+  List.iter
+    (fun line ->
+       match Protocol.reply_of_json (Json.parse_exn line) with
+       | Ok _ -> Alcotest.failf "read %s as an envelope" line
+       | Error message ->
+         Alcotest.(check string) line "malformed response envelope" message)
+    [ {|{"ok":1}|}; {|{}|}; {|[]|} ]
+
 (* --- Socket sessions ----------------------------------------------------- *)
 
 let test_eval_round_trip () =
@@ -177,6 +222,41 @@ let test_eval_round_trip () =
       in
       Alcotest.(check int) "matches the interpreter" exact
         (int_field "time_cycles" result))
+
+(* [Client.call] is one round trip on a connection of its own: a success
+   is [Answered], a request error [Refused] with its status, and a socket
+   with no daemon an [Error] that names the path. *)
+let test_client_call () =
+  with_daemon (fun socket _client ->
+      (match
+         Client.call ~timeout_s:5. socket
+           (Protocol.request_to_json Protocol.Stats)
+       with
+       | Ok (Protocol.Answered { op; result }) ->
+         Alcotest.(check (option string)) "op echoed" (Some "stats") op;
+         Alcotest.(check (option string)) "stats document"
+           (Some "predlab/serve-stats")
+           (Option.bind (Json.member "schema" result) Json.string_value)
+       | Ok (Protocol.Refused { message; _ }) ->
+         Alcotest.failf "stats refused: %s" message
+       | Error message -> Alcotest.failf "stats call failed: %s" message);
+      match
+        Client.call ~timeout_s:5. socket
+          (Protocol.request_to_json
+             (Protocol.Eval { workload = "no_such"; state = 0; input = 0 }))
+      with
+      | Ok (Protocol.Refused { status; _ }) ->
+        Alcotest.(check (option string)) "usage status" (Some "usage") status
+      | Ok (Protocol.Answered _) -> Alcotest.fail "unknown workload answered"
+      | Error message -> Alcotest.failf "eval call failed: %s" message);
+  let missing = temp_socket () in
+  match Client.call missing (Protocol.request_to_json Protocol.Stats) with
+  | Error message ->
+    Alcotest.(check bool)
+      ("names the path: " ^ message)
+      true
+      (String.starts_with ~prefix:missing message)
+  | Ok _ -> Alcotest.fail "a socket with no daemon answered"
 
 let test_memo_hit_on_repeat () =
   with_daemon (fun _socket client ->
@@ -338,7 +418,7 @@ let test_deadline_times_out_not_daemon () =
       Alcotest.(check string) "timed_out error" "timed_out"
         (error_of response);
       Alcotest.(check (option string)) "status field" (Some "timed_out")
-        (Option.bind (Json.member "status" response) Json.string_value);
+        (status_of response);
       (* ...while the daemon and even this connection keep serving. *)
       let result =
         result_of
@@ -432,7 +512,7 @@ let test_malformed_line_keeps_connection () =
            Unix.connect fd (Unix.ADDR_UNIX socket);
            output_string oc "{this is not json\n";
            flush oc;
-           let first = Json.parse_exn (input_line ic) in
+           let first = reply_of (Json.parse_exn (input_line ic)) in
            let message = error_of first in
            Alcotest.(check bool)
              ("parse error reported: " ^ message)
@@ -442,7 +522,7 @@ let test_malformed_line_keeps_connection () =
            (* Same connection, next line: still served. *)
            output_string oc "{\"op\":\"stats\"}\n";
            flush oc;
-           let second = Json.parse_exn (input_line ic) in
+           let second = reply_of (Json.parse_exn (input_line ic)) in
            Alcotest.(check bool) "connection survived the bad line" true
              (int_field "served" (result_of second) >= 0)))
 
@@ -507,10 +587,9 @@ let test_unknown_name_is_usage_error () =
            ignore (error_of response);
            Alcotest.(check (option string))
              (Protocol.op_name req ^ ": usage status")
-             (Some "usage")
-             (Option.bind (Json.member "status" response) Json.string_value);
+             (Some "usage") (status_of response);
            Alcotest.(check int) (Protocol.op_name req ^ ": exit 2") 2
-             (Ops.error_exit response))
+             (Ops.error_exit (status_of response)))
         [ Protocol.Run { id = "NOSUCH"; retries = 0 };
           Protocol.Sample
             { workloads = [ "no_such" ]; seed = None; samples = None;
@@ -518,10 +597,11 @@ let test_unknown_name_is_usage_error () =
           Protocol.Lint { workloads = [ "clamp"; "no_such" ] };
           Protocol.Certify { workloads = [ "no_such" ] };
           Protocol.Eval { workload = "no_such"; state = 0; input = 0 } ]);
+  let exit_of envelope = Ops.error_exit (status_of (reply_of envelope)) in
   Alcotest.(check int) "oversized frame stays exit 1" 1
-    (Ops.error_exit (Protocol.oversized ~max_frame:4096));
+    (exit_of (Protocol.oversized ~max_frame:4096));
   Alcotest.(check int) "overloaded is exit 5" 5
-    (Ops.error_exit (Protocol.overloaded ~conns:1 ~queue:0))
+    (exit_of (Protocol.overloaded ~conns:1 ~queue:0))
 
 (* `query lint` reads the document's error count like `predlab lint`. *)
 let test_lint_exit_class () =
@@ -590,7 +670,7 @@ let test_concurrent_clients_byte_identical () =
                      ~finally:(fun () -> Client.close c)
                      (fun () ->
                         match
-                          Client.request ~timeout_s:30. c
+                          Client.reply ~timeout_s:30. c
                             (Protocol.request_to_json
                                (Protocol.Certify { workloads = [ name ] }))
                         with
@@ -673,7 +753,7 @@ let test_oversized_frame_survives_connection () =
                      Json.int_value));
              (* Same connection, next request: still served. *)
              match
-               Client.request ~timeout_s:5. c
+               Client.reply ~timeout_s:5. c
                  (Protocol.request_to_json Protocol.Stats)
              with
              | Error e ->
@@ -719,7 +799,7 @@ let test_drain_finishes_in_flight_and_unlinks () =
        (fun () ->
           (* In-flight request on one connection... *)
           match
-            Client.request ~timeout_s:30. c
+            Client.reply ~timeout_s:30. c
               (Protocol.request_to_json
                  (Protocol.Certify { workloads = [ "clamp" ] }))
           with
@@ -737,7 +817,7 @@ let test_drain_finishes_in_flight_and_unlinks () =
                  ~finally:(fun () -> Client.close s)
                  (fun () ->
                     match
-                      Client.request ~timeout_s:5. s
+                      Client.reply ~timeout_s:5. s
                         (Protocol.request_to_json Protocol.Shutdown)
                     with
                     | Error e ->
@@ -799,7 +879,9 @@ let () =
        [ Alcotest.test_case "request round trip" `Quick
            test_protocol_round_trip;
          Alcotest.test_case "malformed requests rejected" `Quick
-           test_protocol_rejects ]);
+           test_protocol_rejects;
+         Alcotest.test_case "reply_of_json reads every daemon envelope" `Quick
+           test_reply_of_json ]);
       ("session",
        [ Alcotest.test_case "eval round trip" `Quick test_eval_round_trip;
          Alcotest.test_case "memo hit on repeated cell" `Quick
@@ -815,7 +897,9 @@ let () =
          Alcotest.test_case "compare gates two report documents" `Quick
            test_compare_gates_reports;
          Alcotest.test_case "every shared op matches the CLI document" `Quick
-           test_shared_ops_match_cli_documents ]);
+           test_shared_ops_match_cli_documents;
+         Alcotest.test_case "Client.call is one round trip" `Quick
+           test_client_call ]);
       ("robustness",
        [ Alcotest.test_case "malformed line keeps the connection" `Quick
            test_malformed_line_keeps_connection;

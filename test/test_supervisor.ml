@@ -102,10 +102,12 @@ let test_deadline_checkpoint () =
     x
   in
   let results =
-    Parallel.map_result ~jobs:2 ~deadline_s:0.02
+    Parallel.map_result ~jobs:2
       (fun heavy ->
-         if heavy then List.length (Parallel.map spin_ms (List.init 200 Fun.id))
-         else 0)
+         Parallel.with_deadline ~deadline_s:0.02 (fun () ->
+             if heavy then
+               List.length (Parallel.map spin_ms (List.init 200 Fun.id))
+             else 0))
       [ false; true; false ]
   in
   (match results with
@@ -119,7 +121,11 @@ let test_deadline_checkpoint () =
     let t0 = Prelude.Instrument.now () in
     while Prelude.Instrument.now () -. t0 < 0.03 do () done
   in
-  match Parallel.map_result ~jobs:1 ~deadline_s:0.01 spin [ () ] with
+  match
+    Parallel.map_result ~jobs:1
+      (fun () -> Parallel.with_deadline ~deadline_s:0.01 spin)
+      [ () ]
+  with
   | [ Error { Parallel.exn = Parallel.Deadline_exceeded _; _ } ] -> ()
   | _ -> Alcotest.fail "expected post-hoc deadline classification"
 
@@ -180,7 +186,7 @@ let test_multiple_failures_surfaced () =
 (* --- The experiment supervisor ------------------------------------------ *)
 
 let ok_outcome id =
-  { Report.id; title = "synthetic " ^ id; body = "";
+  { Report.title = "synthetic " ^ id; body = "";
     checks = [ Report.check "always" true ] }
 
 let entry ?runner id =
