@@ -438,6 +438,21 @@ let query socket connect_timeout timeout deadline retries seed samples
   let request_json =
     match raw with
     | Some line -> (
+        (* The line goes out as written, so a request flag beside it would
+           be dropped without a word: a usage error, before any connect. *)
+        (match
+           List.find_opt snd
+             [ ("deadline", deadline <> None); ("retries", retries <> 0);
+               ("seed", seed <> None); ("samples", samples <> None);
+               ("confidence", confidence <> None);
+               ("tolerance", tolerance <> None) ]
+         with
+         | Some (flag, _) ->
+           Printf.eprintf
+             "predlab query: --%s cannot be combined with --raw; put it in \
+              the request line\n" flag;
+           exit 2
+         | None -> ());
         match Prelude.Json.parse line with
         | Ok json -> json
         | Error message ->
@@ -982,7 +997,12 @@ let query_cmd =
          & opt (some string) None
          & info [ "raw" ] ~docv:"LINE"
              ~doc:"Send LINE (a JSON request object) verbatim instead of \
-                   building one from the positional arguments.")
+                   building one from the positional arguments. A request \
+                   flag ($(b,--deadline), $(b,--retries), $(b,--seed), \
+                   $(b,--samples), $(b,--confidence), $(b,--tolerance)) \
+                   cannot be combined with it and exits 2: put its value \
+                   in LINE. $(b,--timeout) and $(b,--connect-timeout) \
+                   still apply.")
   in
   let args_arg =
     Arg.(value & pos_all string []

@@ -172,6 +172,13 @@ fi
 test "$probe_status" -eq 2
 grep -q 'non-finite' _build/query-inf.err
 grep -q -- '--deadline' _build/query-inf.err
+# A request flag beside --raw would never reach the daemon, so the pair is
+# a usage error (2) naming both flags, refused before any connect.
+"$PREDLAB" query --socket "$NOSOCK" --deadline 1 --raw '{"op":"stats"}' \
+  2> _build/query-raw.err && probe_status=0 || probe_status=$?
+test "$probe_status" -eq 2
+grep -q -- '--raw' _build/query-raw.err
+grep -q -- '--deadline' _build/query-raw.err
 SOCK=_build/predlab-ci.sock
 rm -f "$SOCK"
 "$PREDLAB" serve --socket "$SOCK" --jobs 2 --conns 4 &

@@ -144,6 +144,4 @@ let equal a b =
       | Some ma, Some mb -> Block_map.equal Int.equal ma mb
       | None, Some _ | Some _, None -> false)
 
-let config t = t.config
-
 let must_resident_blocks t = List.map fst (Block_map.bindings t.must)

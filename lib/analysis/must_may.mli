@@ -47,7 +47,6 @@ val restrict : t -> max_tracked:int -> t
     @raise Invalid_argument if [max_tracked < 0]. *)
 
 val equal : t -> t -> bool
-val config : t -> Cache.Set_assoc.config
 
 val must_resident_blocks : t -> int list
 (** Blocks guaranteed to be cached (for locking/occupancy statistics). *)

@@ -104,8 +104,6 @@ let initial_states t =
     in
     List.map remake [ 0; 1; 0x51ed; 0xbeef; 0x1234 ]
 
-let is_static = function Static _ -> true | Dynamic _ -> false
-
 (* --- Mutable replay ------------------------------------------------------ *)
 
 (* [update] copies the counter table on every trained branch; a replay

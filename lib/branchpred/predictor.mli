@@ -54,11 +54,6 @@ val wcet_oriented : branch_event list list -> static_scheme
     traces: each branch predicts its majority outcome across all traces,
     minimising the worst-case misprediction count among the given paths. *)
 
-val is_static : t -> bool
-(** Static predictors are stateless: their predictions depend only on the
-    branch event, never on execution history — the fast path's branch-purity
-    criterion. *)
-
 (** {2 Mutable replay}
 
     {!update} copies the counter table per trained branch; a replay steps

@@ -14,8 +14,6 @@ let make config =
     invalid_arg "Method_cache.make: geometry must be positive";
   { config; resident = [] }
 
-let config t = t.config
-
 let blocks_for config size = (size + config.block_size - 1) / config.block_size
 
 let occupancy t = Prelude.Listx.sum (List.map snd t.resident)

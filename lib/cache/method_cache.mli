@@ -13,8 +13,6 @@ type t
 val make : config -> t
 (** @raise Invalid_argument on non-positive geometry. *)
 
-val config : t -> config
-
 val blocks_for : config -> int -> int
 (** Number of blocks a method of the given instruction count occupies. *)
 

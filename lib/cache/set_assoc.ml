@@ -113,8 +113,3 @@ let pack t =
   t.config.sets :: t.config.ways :: t.config.line
   :: Policy.kind_ordinal t.config.kind
   :: List.concat_map Policy.pack (Array.to_list t.state)
-
-let pp ppf t =
-  Array.iteri
-    (fun i s -> Format.fprintf ppf "set%d: %a@ " i Policy.pp s)
-    t.state

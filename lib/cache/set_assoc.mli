@@ -38,8 +38,6 @@ val state_samples : config -> universe:int list -> count:int -> seed:int -> t li
 (** [count] distinct warmed states (plus the cold state first), used as the
     uncertainty set [Q] over initial hardware states. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Mutable replay}
 
     The persistent {!access} copies the per-set state array on every access;

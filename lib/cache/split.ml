@@ -27,8 +27,3 @@ let access t classify addr =
   | Heap ->
     let hit, c = Set_assoc.access t.heap_cache addr in
     (hit, { t with heap_cache = c })
-
-let equal a b =
-  Set_assoc.equal a.static_cache b.static_cache
-  && Set_assoc.equal a.stack_cache b.stack_cache
-  && Set_assoc.equal a.heap_cache b.heap_cache

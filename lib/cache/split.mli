@@ -23,4 +23,3 @@ val make :
 (** The heap cache is fully associative ([sets = 1]) with LRU replacement. *)
 
 val access : t -> classifier -> int -> bool * t
-val equal : t -> t -> bool

@@ -1,5 +1,5 @@
 (* FIG1.FAST — the fast-path equivalence oracle, machine-checked per
-   workload: the compositional fast-path engine (block summaries, packed
+   workload: the compositional fast-path engine (compiled traces, packed
    replay, memoized cells addressed through a grid) must reproduce the exact
    cycle-accurate T_p(q,i) matrix bit for bit — for every registry
    workload, at jobs 1/2/4/8, with the memo table on and off, and again on

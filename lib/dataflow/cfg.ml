@@ -124,22 +124,6 @@ let terminator t b =
   let pc = b.start_pc + b.len - 1 in
   (pc, Isa.Program.instr t.program pc)
 
-type mix = {
-  has_memory : bool;
-  has_branch : bool;
-  has_control : bool;
-}
-
-let mix t b =
-  let step acc (_, ins) =
-    { has_memory = acc.has_memory || Isa.Instr.is_memory ins;
-      has_branch = acc.has_branch || Isa.Instr.is_branch ins;
-      has_control = acc.has_control || Isa.Instr.is_control ins }
-  in
-  List.fold_left step
-    { has_memory = false; has_branch = false; has_control = false }
-    (instrs t b)
-
 let reachable t =
   let seen = Array.make (Array.length t.blocks) false in
   let rec visit id =
@@ -231,17 +215,3 @@ let reverse_postorder t =
   in
   visit t.entry;
   !order
-
-let pp ppf t =
-  let reach = reachable t in
-  Array.iter
-    (fun b ->
-       Format.fprintf ppf "block %d [%d..%d]%s -> %s@."
-         b.id b.start_pc (b.start_pc + b.len - 1)
-         (if reach.(b.id) then "" else " (unreachable)")
-         (String.concat "," (List.map string_of_int b.succs));
-       List.iter
-         (fun (pc, ins) ->
-            Format.fprintf ppf "  %4d  %a@." pc Isa.Instr.pp ins)
-         (instrs t b))
-    t.blocks

@@ -50,20 +50,6 @@ val terminator : t -> block -> int * Isa.Instr.t
 (** The block's last instruction (a control transfer, or an ordinary
     instruction when the block falls through into the next leader). *)
 
-type mix = {
-  has_memory : bool;   (** any load/store *)
-  has_branch : bool;   (** any conditional branch *)
-  has_control : bool;  (** any control transfer (branch/jump/call/ret) *)
-}
-
-val mix : t -> block -> mix
-(** The block's instruction mix — what hardware state its timing can
-    possibly depend on. The fast-path engine classifies a block as
-    context-free when the active machine features make every component of
-    its cost state-independent (e.g. no data-cache dependence because the
-    block has no memory instruction, no predictor dependence because it has
-    no conditional branch). *)
-
 val reachable : t -> bool array
 (** Per-block: reachable from the entry block along [succs] edges. *)
 
@@ -89,5 +75,3 @@ val influence_region : t -> pdom:bool array array -> int -> bool array
 val reverse_postorder : t -> int list
 (** Reachable block ids in reverse postorder — the canonical iteration
     order for forward dataflow (see {!Solver}). *)
-
-val pp : Format.formatter -> t -> unit

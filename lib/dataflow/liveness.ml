@@ -18,7 +18,7 @@ let gen_kill cfg block =
     (0, 0)
     (List.rev (Cfg.instrs cfg block))
 
-let live cfg =
+let live_out cfg =
   let blocks = Cfg.blocks cfg in
   let n = Array.length blocks in
   let gens = Array.make n 0 and kills = Array.make n 0 in
@@ -48,10 +48,7 @@ let live cfg =
       end
     done
   done;
-  (live_in, live_out)
-
-let live_in cfg = fst (live cfg)
-let live_out cfg = snd (live cfg)
+  live_out
 
 let written_to_halt cfg =
   let blocks = Cfg.blocks cfg in
@@ -78,7 +75,7 @@ let written_to_halt cfg =
     0 blocks
 
 let dead_stores cfg =
-  let _, out = live cfg in
+  let out = live_out cfg in
   let reach = Cfg.reachable cfg in
   let of_block block =
     if not reach.(block.Cfg.id) then []

@@ -16,11 +16,6 @@
 val mask_of : Isa.Reg.t list -> int
 val mem_mask : Isa.Reg.t -> int -> bool
 
-val live_in : Cfg.t -> int array
-(** Per-block bitmask of registers live on entry to the block. *)
-
-val live_out : Cfg.t -> int array
-
 val written_to_halt : Cfg.t -> int
 (** Bitmask of registers written by some instruction that lies on a path
     from the entry to a [Halt]: its block is reachable and some

@@ -110,8 +110,6 @@ let analyze ?(seeds = bottom) program =
   let in_states = fix () in
   { cfg; in_states; ctl; seeds }
 
-let cfg t = t.cfg
-let seeds t = t.seeds
 let control_tainted t pc = t.ctl.(Cfg.block_of_pc t.cfg pc)
 
 let instr_envs t =

@@ -64,9 +64,6 @@ val of_workload : Isa.Workload.t -> result
     initial data memories differ. A singleton input set seeds nothing —
     there is no input uncertainty to track. *)
 
-val cfg : result -> Cfg.t
-val seeds : result -> env
-
 val control_tainted : result -> int -> bool
 (** [control_tainted t pc]: the instruction's block lies in the influence
     region of some tainted branch — its execution count may vary across

@@ -12,8 +12,6 @@ type prepared = {
   imem_w : level_replay;
   dmem_w : level_replay;
   pred_w : Branchpred.Predictor.replay;
-  pure : bool array;
-  ctx : string;
 }
 
 (* Per-domain scratch: the last state the domain worked on, with its key
@@ -66,11 +64,8 @@ type t = {
   id : int;
   program : Isa.Program.t;
   digest : int;
-  cfg : Dataflow.Cfg.t;
   memo : memo_table option;
   traces : (string, Trace.compiled) Hashtbl.t;
-  summaries : (string, Summary.t) Hashtbl.t;
-  classes : (Classify.features, bool array) Hashtbl.t;
   mu : Mutex.t;
 }
 
@@ -82,7 +77,6 @@ let create ?(memo = true) ?memo_bound program =
   { id = Atomic.fetch_and_add next_id 1;
     program;
     digest = Isa.Program.digest program;
-    cfg = Dataflow.Cfg.build program;
     memo =
       (if memo then
          Some
@@ -90,8 +84,6 @@ let create ?(memo = true) ?memo_bound program =
              bound = memo_bound }
        else None);
     traces = Hashtbl.create 64;
-    summaries = Hashtbl.create 64;
-    classes = Hashtbl.create 8;
     mu = Mutex.create () }
 
 let memoized t = t.memo <> None
@@ -120,23 +112,6 @@ let trace_for t input =
     let tr = Trace.compile t.program input in
     with_lock t (fun () -> Hashtbl.replace t.traces key tr);
     tr
-
-let pure_for t feats =
-  match with_lock t (fun () -> Hashtbl.find_opt t.classes feats) with
-  | Some flags -> flags
-  | None ->
-    let flags = Classify.pure_pcs t.cfg feats in
-    with_lock t (fun () -> Hashtbl.replace t.classes feats flags);
-    flags
-
-let summary_for t ~ctx ~pure st (tr : Trace.compiled) =
-  let key = ctx ^ "#" ^ tr.Trace.key in
-  match with_lock t (fun () -> Hashtbl.find_opt t.summaries key) with
-  | Some s -> s
-  | None ->
-    let s = Summary.build ~pure st tr in
-    with_lock t (fun () -> Hashtbl.replace t.summaries key s);
-    s
 
 (* --- Packed machine state ------------------------------------------------ *)
 
@@ -175,55 +150,51 @@ let level_pack = function
   | Pipeline.Mem_system.Spm { spm; hit; backing } ->
     [ 2; hit; backing; Cache.Scratchpad.base spm; Cache.Scratchpad.size spm ]
 
+let key_of_ints ints =
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun v ->
+       Buffer.add_string buf (string_of_int v);
+       Buffer.add_char buf ',')
+    ints;
+  Buffer.contents buf
+
 let state_key t (st : Pipeline.Inorder.state) =
-  Summary.key_of_ints
+  key_of_ints
     (t.digest
      :: (level_pack st.mem.Pipeline.Mem_system.imem
          @ level_pack st.mem.Pipeline.Mem_system.dmem
          @ Branchpred.Predictor.pack st.predictor))
 
-let prepare t (st : Pipeline.Inorder.state) =
+let prepare (st : Pipeline.Inorder.state) =
   let imem_t = level_replay st.mem.Pipeline.Mem_system.imem in
   let dmem_t = level_replay st.mem.Pipeline.Mem_system.dmem in
   let pred_t = Branchpred.Predictor.replay st.predictor in
   { imem_t; dmem_t; pred_t;
     imem_w = level_copy imem_t;
     dmem_w = level_copy dmem_t;
-    pred_w = Branchpred.Predictor.replay_copy pred_t;
-    pure = pure_for t (Classify.features st);
-    ctx = Summary.context_key st }
+    pred_w = Branchpred.Predictor.replay_copy pred_t }
 
-(* The residual interpreter: summaries skip context-free runs, everything
-   else steps the packed machine state cycle-accurately, mirroring
-   [Pipeline.Inorder.run] term for term. *)
-let run_cell p (sum : Summary.t) (tr : Trace.compiled) =
+(* One cell: every event of the trace steps the packed machine state
+   cycle-accurately, mirroring [Pipeline.Inorder.run] term for term. *)
+let run_cell p (tr : Trace.compiled) =
   level_reset ~dst:p.imem_w ~src:p.imem_t;
   level_reset ~dst:p.dmem_w ~src:p.dmem_t;
   Branchpred.Predictor.replay_reset ~dst:p.pred_w ~src:p.pred_t;
   let cyc = ref 0 in
-  let k = ref 0 in
-  let n = tr.Trace.events in
-  while !k < n do
-    let nxt = sum.Summary.seg_next.(!k) in
-    if nxt > !k then begin
-      cyc := !cyc + sum.Summary.seg_cost.(!k);
-      k := nxt
-    end
-    else begin
-      cyc := !cyc + level_cost p.imem_w tr.Trace.iaddr.(!k);
-      cyc := !cyc + tr.Trace.base.(!k);
-      let da = tr.Trace.daddr.(!k) in
-      if da >= 0 then cyc := !cyc + level_cost p.dmem_w da;
-      if tr.Trace.br.(!k) then begin
-        let ev =
-          { Branchpred.Predictor.pc = tr.Trace.pcs.(!k);
-            backward = tr.Trace.br_backward.(!k);
-            taken = tr.Trace.br_taken.(!k) }
-        in
-        if not (Branchpred.Predictor.replay_correct p.pred_w ev) then
-          cyc := !cyc + Pipeline.Latency.branch_mispredict_penalty
-      end;
-      incr k
+  for k = 0 to tr.Trace.events - 1 do
+    cyc := !cyc + level_cost p.imem_w tr.Trace.iaddr.(k);
+    cyc := !cyc + tr.Trace.base.(k);
+    let da = tr.Trace.daddr.(k) in
+    if da >= 0 then cyc := !cyc + level_cost p.dmem_w da;
+    if tr.Trace.br.(k) then begin
+      let ev =
+        { Branchpred.Predictor.pc = tr.Trace.pcs.(k);
+          backward = tr.Trace.br_backward.(k);
+          taken = tr.Trace.br_taken.(k) }
+      in
+      if not (Branchpred.Predictor.replay_correct p.pred_w ev) then
+        cyc := !cyc + Pipeline.Latency.branch_mispredict_penalty
     end
   done;
   !cyc
@@ -273,11 +244,11 @@ let replay t ~skey st tr =
     match s.s_prep with
     | Some p -> p
     | None ->
-      let p = prepare t st in
+      let p = prepare st in
       s.s_prep <- Some p;
       p
   in
-  run_cell p (summary_for t ~ctx:p.ctx ~pure:p.pure st tr) tr
+  run_cell p tr
 
 (* One cell through the memo, looked up on [skey] (the packed state) before
    anything is prepared, so a hit never packs the replay state. *)

@@ -1,15 +1,14 @@
-(** The compositional fast-path evaluator for [T_p(q, i)] on the in-order
-    machine.
+(** The fast-path evaluator for [T_p(q, i)] on the in-order machine.
 
-    One engine serves one program. Per input it compiles the functional
-    trace to flat arrays ({!Trace}); per machine-feature vector it
-    classifies basic blocks as context-free or context-dependent
-    ({!Classify}); per (execution context, input) it pre-sums the
-    context-free runs ({!Summary}); and per cell it replays summaries,
-    stepping only context-dependent regions against bit-packed cache and
-    predictor state ({!Cache.Set_assoc.replay},
-    {!Branchpred.Predictor.replay}). On top sits an optional memo table
-    keyed by (program digest, packed state, packed input).
+    One engine serves one program. The input alone fixes the functional
+    trace, so the engine compiles it once per input to flat arrays
+    ({!Trace}); per cell it steps every event of that trace against
+    bit-packed cache and predictor state ({!Cache.Set_assoc.replay},
+    {!Branchpred.Predictor.replay}), the part of the cost the initial
+    hardware state [q] fixes. There is no per-block shortcut: every
+    standard uncertainty space has a cached instruction memory, so every
+    fetch's cost depends on [q]. On top sits an optional memo table keyed
+    by (program digest, packed state, packed input).
 
     Determinism: every produced time equals {!Pipeline.Inorder.time} on the
     same [(q, i)] (the FIG1.FAST oracle asserts bit-identical matrices on

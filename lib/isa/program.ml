@@ -62,7 +62,6 @@ let link funcs =
   List.iter (fun f -> List.iter emit_item f.body) funcs;
   { code; entry = 0; labels; functions = List.rev !extents }
 
-let code t = t.code
 let entry t = t.entry
 let length t = Array.length t.code
 let resolve t name = List.assoc name t.labels

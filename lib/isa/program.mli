@@ -23,7 +23,6 @@ val link : func list -> t
     as the label of its first instruction. @raise Invalid on malformed
     input. *)
 
-val code : t -> Instr.t array
 val entry : t -> int
 val length : t -> int
 val resolve : t -> string -> int

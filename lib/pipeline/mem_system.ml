@@ -31,14 +31,3 @@ let level_worst = function
   | Flat lat -> lat
   | Cached { miss; _ } -> miss
   | Spm { hit; backing; _ } -> Stdlib.max hit backing
-
-let level_equal a b =
-  match a, b with
-  | Flat x, Flat y -> x = y
-  | Cached a, Cached b ->
-    a.hit = b.hit && a.miss = b.miss && Cache.Set_assoc.equal a.cache b.cache
-  | Spm { spm = sa; hit = ha; backing = ba }, Spm { spm = sb; hit = hb; backing = bb } ->
-    sa = sb && ha = hb && ba = bb
-  | (Flat _ | Cached _ | Spm _), _ -> false
-
-let equal a b = level_equal a.imem b.imem && level_equal a.dmem b.dmem

@@ -24,5 +24,3 @@ val data : t -> int -> int * t
 (** Data access (load or store, modelled alike). *)
 
 val level_worst : level -> int
-
-val equal : t -> t -> bool

@@ -23,10 +23,10 @@ let default_max_frame = Lineio.default_max_line
 
 exception Busy of string
 
-(* One resident engine per workload: the engine owns the compiled traces,
-   block summaries and the bounded T_p memo; the arrays pin the standard
-   uncertainty sets so eval requests address cells by index, through one
-   grid over them that packs each state and input once. *)
+(* One resident engine per workload: the engine owns the compiled traces
+   and the bounded T_p memo; the arrays pin the standard uncertainty sets
+   so eval requests address cells by index, through one grid over them
+   that packs each state and input once. *)
 type entry = {
   e_engine : Fastpath.Engine.t;
   e_states : Pipeline.Inorder.state array;

@@ -8,9 +8,9 @@
     are shed immediately with the structured
     {!Protocol.overloaded} envelope instead of queueing without bound.
     What makes the daemon pay off is residency — the per-workload
-    fast-path engines ({!Fastpath.Engine}), their compiled traces, block
-    summaries and {e size-bounded} [T_p(q,i)] memo tables persist across
-    requests and connections and are shared by all workers (each engine
+    fast-path engines ({!Fastpath.Engine}), their compiled traces and
+    {e size-bounded} [T_p(q,i)] memo tables persist across requests and
+    connections and are shared by all workers (each engine
     is internally mutex-guarded; the engine table and every daemon
     counter are likewise guarded or atomic).
 

@@ -224,9 +224,12 @@ let test_engine_vs_interpreter_dynamic_predictor () =
     (engine_matches_interpreter ~predictor)
     [ "branchy"; "insertion_sort" ]
 
-(* Stateless memory levels make blocks context-free, so this exercises the
-   summary-skipping path (with a cached dmem, memory blocks still fall back). *)
-let test_engine_summary_paths () =
+(* Stateless levels ([Flat], [Spm]) take the [Lpure] arm of the replay's
+   level cost. On bubble_sort they are checked in three memory systems, one
+   beside a cached dmem; on every registry workload, over all its inputs,
+   the perfect-memory machine is checked through a grid, as DEF.CERT's
+   flat matrix evaluates it. *)
+let test_engine_stateless_levels () =
   let w = Isa.Workload.find "bubble_sort" in
   let program, _ = Isa.Workload.program w in
   let inputs = take 8 w.Isa.Workload.inputs in
@@ -253,11 +256,29 @@ let test_engine_summary_paths () =
        let q = Pipeline.Inorder.state ~mem () in
        List.iter
          (fun i ->
-            Alcotest.(check int) "summary path agrees"
+            Alcotest.(check int) "stateless level agrees"
               (Pipeline.Inorder.time program q i)
               (Fastpath.Engine.time eng q i))
          inputs)
-    mems
+    mems;
+  let q = Pipeline.Inorder.state () in
+  List.iter
+    (fun (name, make) ->
+       let w : Isa.Workload.t = make () in
+       let program, _ = Isa.Workload.program w in
+       let inputs = Array.of_list w.Isa.Workload.inputs in
+       let cell =
+         Fastpath.Engine.grid (Fastpath.Engine.create program) [| q |] inputs
+       in
+       Array.iteri
+         (fun i input ->
+            let exact = Pipeline.Inorder.time program q input in
+            let fast = cell 0 i in
+            if fast <> exact then
+              Alcotest.failf "%s: flat cell %d: exact %d grid %d" name i
+                exact fast)
+         inputs)
+    Isa.Workload.registry
 
 (* --- Grid vs interpreter ------------------------------------------------- *)
 
@@ -878,8 +899,8 @@ let () =
            test_engine_vs_interpreter_default;
          Alcotest.test_case "matches interpreter (dynamic predictor)" `Quick
            test_engine_vs_interpreter_dynamic_predictor;
-         Alcotest.test_case "summary paths agree" `Quick
-           test_engine_summary_paths;
+         Alcotest.test_case "stateless levels agree" `Quick
+           test_engine_stateless_levels;
          Alcotest.test_case "grid matches interpreter (random order, memo \
                              on/off, two engines)" `Quick
            test_grid_vs_interpreter ]);
