@@ -438,8 +438,9 @@ let query socket connect_timeout timeout deadline retries seed samples
   let request_json =
     match raw with
     | Some line -> (
-        (* The line goes out as written, so a request flag beside it would
-           be dropped without a word: a usage error, before any connect. *)
+        (* The line goes out as written, so a request flag or an OP
+           argument beside it would be dropped without a word: a usage
+           error, before any connect. *)
         (match
            List.find_opt snd
              [ ("deadline", deadline <> None); ("retries", retries <> 0);
@@ -453,6 +454,13 @@ let query socket connect_timeout timeout deadline retries seed samples
               the request line\n" flag;
            exit 2
          | None -> ());
+        if args <> [] then begin
+          Printf.eprintf
+            "predlab query: OP arguments (%s) cannot be combined with \
+             --raw; the request line is the whole request\n"
+            (String.concat " " args);
+          exit 2
+        end;
         match Prelude.Json.parse line with
         | Ok json -> json
         | Error message ->
@@ -1000,9 +1008,9 @@ let query_cmd =
                    building one from the positional arguments. A request \
                    flag ($(b,--deadline), $(b,--retries), $(b,--seed), \
                    $(b,--samples), $(b,--confidence), $(b,--tolerance)) \
-                   cannot be combined with it and exits 2: put its value \
-                   in LINE. $(b,--timeout) and $(b,--connect-timeout) \
-                   still apply.")
+                   or an OP argument cannot be combined with it and exits \
+                   2: put its value in LINE. $(b,--timeout) and \
+                   $(b,--connect-timeout) still apply.")
   in
   let args_arg =
     Arg.(value & pos_all string []

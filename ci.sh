@@ -179,6 +179,11 @@ grep -q -- '--deadline' _build/query-inf.err
 test "$probe_status" -eq 2
 grep -q -- '--raw' _build/query-raw.err
 grep -q -- '--deadline' _build/query-raw.err
+# So would an OP argument beside --raw: the same usage error, naming --raw.
+"$PREDLAB" query --socket "$NOSOCK" --raw '{"op":"stats"}' stats \
+  2> _build/query-raw-args.err && probe_status=0 || probe_status=$?
+test "$probe_status" -eq 2
+grep -q -- '--raw' _build/query-raw-args.err
 SOCK=_build/predlab-ci.sock
 rm -f "$SOCK"
 "$PREDLAB" serve --socket "$SOCK" --jobs 2 --conns 4 &

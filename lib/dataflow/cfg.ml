@@ -189,11 +189,19 @@ let influence_region t ~pdom id =
   let region = Array.make n false in
   let exits = reaches_exit t in
   (* The region ends where every outcome of the branch has re-converged:
-     at the strict postdominators of the branch block. When the branch
-     cannot reach an exit its postdominator set is a fixpoint artifact
+     at the strict postdominators of the branch block that lie in its own
+     function. A postdominator in another function is no such point: when
+     both arms call the same function, its entry postdominates the branch
+     in this context-insensitive graph, yet what follows each call is
+     reached only through the callee's return. When the branch cannot
+     reach an exit its postdominator set is a fixpoint artifact
      (all-true), so fall back to everything reachable from its successors
      — a sound overapproximation. *)
-  let skip d = exits.(id) && d <> id && pdom.(id).(d) in
+  let home = Isa.Program.function_of_pc t.program t.blocks.(id).start_pc in
+  let skip d =
+    exits.(id) && d <> id && pdom.(id).(d)
+    && Isa.Program.function_of_pc t.program t.blocks.(d).start_pc = home
+  in
   let rec visit d =
     if (not region.(d)) && not (skip d) then begin
       region.(d) <- true;

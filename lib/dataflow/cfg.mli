@@ -65,12 +65,15 @@ val influence_region : t -> pdom:bool array array -> int -> bool array
 (** [influence_region t ~pdom b] marks the blocks whose execution (or
     execution count) depends on the outcome of the branch terminating
     block [b]: everything reachable from [b]'s successors up to, and
-    excluding, the strict postdominators of [b] — the classical
-    control-dependence region. [pdom] must come from {!postdominators}
-    on the same graph. For a branch that cannot reach any exit the
-    region degrades to plain reachability from the successors, which is
-    a sound overapproximation. Used by {!Taint} to bound implicit
-    flows. *)
+    excluding, the strict postdominators of [b] in [b]'s own function —
+    the classical control-dependence region. The cut is per function
+    because the graph is context-insensitive: when both arms call the
+    same function, its entry postdominates [b], yet the code after each
+    call, reached only through the callee's return, runs on one outcome
+    only. [pdom] must come from {!postdominators} on the same graph.
+    For a branch that cannot reach any exit the region degrades to
+    plain reachability from the successors, which is a sound
+    overapproximation. Used by {!Taint} to bound implicit flows. *)
 
 val reverse_postorder : t -> int list
 (** Reachable block ids in reverse postorder — the canonical iteration

@@ -107,12 +107,6 @@ let mask31 k =
   else if k.lo >= 0 && k.hi <= 31 then k
   else make 0 31
 
-let shl_bound v s =
-  if v = ninf || v = pinf then v
-  else if abs v <= max_int asr (s + 1) then v lsl s
-  else if v < 0 then ninf
-  else pinf
-
 let asr_bound v s = if v = ninf || v = pinf then v else v asr s
 
 (* [x lsl s] is monotone in [x] and, for fixed sign of [x], monotone in
@@ -124,7 +118,15 @@ let shift_corners f a k =
   in
   norm (List.fold_left min max_int vs) (List.fold_left max min_int vs)
 
-let shl a k = shift_corners shl_bound a (mask31 k)
+(* Exec.alu_eval shifts left without a check, so once [|x| > max_int asr
+   (s + 1)] the result wraps the native integers and can land anywhere,
+   either sign: a shift that may overflow is [top]. *)
+let shl a k =
+  let k = mask31 k in
+  let fits v = abs v <= max_int asr (k.hi + 1) in
+  if finite a && fits a.lo && fits a.hi then shift_corners ( lsl ) a k
+  else top
+
 let shr a k = shift_corners asr_bound a (mask31 k)
 
 let slt a b =

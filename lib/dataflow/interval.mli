@@ -13,7 +13,8 @@
     point lies in that point's interval. Bounds whose magnitude exceeds an
     internal limit are widened to infinity so abstract arithmetic never
     wraps while the concrete 63-bit machine cannot wrap below the limit
-    either.
+    either. A left shift that may carry a value past the native integers
+    is top: the concrete shift wraps, to either sign.
 
     Conditional branches refine both operand intervals on each outgoing
     edge; an edge whose refinement is empty is dead, which is how

@@ -15,11 +15,15 @@
       of a tainted value or through a tainted address (the single memory
       bit makes every store a weak update of the whole region);
     - {b implicit flows}: inside the control-dependence region of a
-      branch with tainted operands — bounded by {!Cfg.postdominators} —
-      every definition is tainted, because whether it executes at all
-      depends on the secret. Region marks feed back into the dataflow
-      solve (an outer fixpoint), so taint reaching one branch can widen
-      the region of another.
+      branch with tainted operands — bounded by its
+      {!Cfg.postdominators} in the branch's own function — every
+      definition is tainted, because whether it executes at all depends
+      on the secret. A postdominator in a callee does not end the
+      region: when both arms call the same function, the code after
+      each call still runs on one outcome only
+      ({!Cfg.influence_region}). Region marks feed back into the
+      dataflow solve (an outer fixpoint), so taint reaching one branch
+      can widen the region of another.
 
     On top of the value analysis, {!leaks} classifies the {e time
     channels}: program points whose {!Pipeline.Inorder} cost can vary

@@ -307,48 +307,12 @@ let test_classified_fraction () =
   Alcotest.(check bool) "flat fetch yields no fraction" true
     (Analysis.Wcet.classified_fraction flat = None)
 
-(* Soundness of the UB on random straight-line+loop programs. *)
-let random_ast_workload seed =
-  let rng = Prelude.Rng.make seed in
-  let open Isa.Instr in
-  let block () =
-    Isa.Ast.Block
-      (List.init
-         (1 + Prelude.Rng.int rng 4)
-         (fun _ ->
-            match Prelude.Rng.int rng 4 with
-            | 0 -> Alui (Add, Isa.Reg.r7, Isa.Reg.r7, 1)
-            | 1 -> Li (Isa.Reg.r8, Prelude.Rng.int rng 100)
-            | 2 -> Mul (Isa.Reg.r9, Isa.Reg.r7, Isa.Reg.r8)
-            | _ -> Alu (Xor, Isa.Reg.r7, Isa.Reg.r7, Isa.Reg.r8)))
-  in
-  let rec node depth =
-    if depth = 0 then block ()
-    else
-      match Prelude.Rng.int rng 3 with
-      | 0 ->
-        Isa.Ast.If
-          ({ Isa.Ast.cmp = Lt; ra = Isa.Reg.r7; rb = Isa.Reg.r8 },
-           node (depth - 1), node (depth - 1))
-      | 1 ->
-        (* One counter register per nesting depth: an inner loop reusing the
-           outer counter would corrupt the outer trip count. *)
-        Isa.Ast.Loop
-          { count = 1 + Prelude.Rng.int rng 4; counter = Isa.Reg.make depth;
-            body = node (depth - 1) }
-      | _ -> Isa.Ast.Seq [ node (depth - 1); block () ]
-  in
-  { Isa.Workload.name = Printf.sprintf "random_%d" seed;
-    description = "random structured program";
-    funcs = [ { Isa.Ast.name = "main"; body = node 3 } ];
-    inputs = [ Isa.Exec.input ~regs:[ (Isa.Reg.r7, Prelude.Rng.int rng 50) ] () ];
-    result_regs = [ Isa.Reg.r7 ] }
+(* --- Generated programs ------------------------------------------------- *)
 
 let prop_ub_sound_on_random_programs =
   QCheck.Test.make ~name:"UB/LB bracket execution on random structured programs"
-    ~count:120 QCheck.(int_range 0 100000)
-    (fun seed ->
-       let w = random_ast_workload seed in
+    ~count:120 Gen_workload.arbitrary
+    (fun w ->
        let times = exhaustive_times w in
        let ub = bound_of Analysis.Wcet.Upper flat_config w in
        let lb = bound_of Analysis.Wcet.Lower flat_config w in
@@ -423,6 +387,53 @@ let test_certify_machine_relative_leaks () =
     (has_address (flat_cert w));
   Alcotest.(check bool) "cached keeps them" true
     (has_address (cached_cert w))
+
+(* A certificate's claims on the observed times: the bracket, the spread
+   bound, and one time under an Invariant verdict. Certification is sound
+   one way only: an invariant program may still be certified Bounded. *)
+let certificate_contains (c : Analysis.Certify.certificate) times =
+  let bcet = Prelude.Stats.min_int_list times
+  and wcet = Prelude.Stats.max_int_list times in
+  [ (Printf.sprintf "lb %d <= BCET %d" c.Analysis.Certify.lb bcet,
+     c.Analysis.Certify.lb <= bcet);
+    (Printf.sprintf "WCET %d <= ub %d" wcet c.Analysis.Certify.ub,
+     wcet <= c.Analysis.Certify.ub);
+    (Printf.sprintf "spread %d <= spread_ub %d" (wcet - bcet)
+       c.Analysis.Certify.spread_ub,
+     wcet - bcet <= c.Analysis.Certify.spread_ub);
+    (Printf.sprintf "%s verdict, BCET %d, WCET %d"
+       (Analysis.Certify.verdict_name c.Analysis.Certify.verdict) bcet wcet,
+     c.Analysis.Certify.verdict <> Analysis.Certify.Invariant || bcet = wcet)
+  ]
+
+(* Every time of the cached machine's space: Harness.inorder_states x the
+   workload's inputs, on the interpreter. *)
+let cached_times w =
+  let p, _ = Isa.Workload.program w in
+  List.concat_map
+    (fun q -> List.map (Pipeline.Inorder.time p q) w.Isa.Workload.inputs)
+    (Predictability.Harness.inorder_states p w)
+
+(* Both standard machines, each over its own observation space: the flat
+   machine over the inputs, the cached one over Harness.inorder_states. *)
+let certificate_claims w =
+  List.concat_map
+    (fun (c, times) ->
+       List.map
+         (fun (claim, holds) -> (c.Analysis.Certify.machine ^ ": " ^ claim, holds))
+         (certificate_contains c times))
+    [ (flat_cert w, exhaustive_times w); (cached_cert w, cached_times w) ]
+
+let prop_certificates_hold_on_generated =
+  QCheck.Test.make
+    ~name:"certificates hold on generated observations"
+    ~count:150 Gen_workload.arbitrary
+    (fun w -> List.for_all snd (certificate_claims w))
+
+let test_certify_call_in_both_arms () =
+  List.iter
+    (fun (claim, holds) -> Alcotest.(check bool) claim true holds)
+    (certificate_claims Gen_workload.call_in_both_arms)
 
 (* --- Misprediction bounds ---------------------------------------------------- *)
 
@@ -534,7 +545,10 @@ let () =
          Alcotest.test_case "state channels" `Quick
            test_certify_state_channels;
          Alcotest.test_case "machine-relative leaks" `Quick
-           test_certify_machine_relative_leaks ]);
+           test_certify_machine_relative_leaks;
+         Alcotest.test_case "call in both arms" `Quick
+           test_certify_call_in_both_arms;
+         QCheck_alcotest.to_alcotest prop_certificates_hold_on_generated ]);
       ("mispredict",
        [ Alcotest.test_case "site structure" `Quick test_sites_structure;
          Alcotest.test_case "nested multiplication" `Quick test_site_multiplication;

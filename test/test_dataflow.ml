@@ -164,51 +164,29 @@ let test_interval_sound_on_workloads () =
          (Prelude.Listx.take 5 w.Isa.Workload.inputs))
     Isa.Workload.registry
 
-(* Random structured programs, same generator idiom as test_analysis: the
-   abstract final environment must contain the concrete final registers. *)
-let random_program seed =
-  let rng = Prelude.Rng.make seed in
-  let open Isa.Instr in
-  let block () =
-    Isa.Ast.Block
-      (List.init
-         (1 + Prelude.Rng.int rng 4)
-         (fun _ ->
-            match Prelude.Rng.int rng 6 with
-            | 0 -> Alui (Add, Isa.Reg.r7, Isa.Reg.r7, 1)
-            | 1 -> Li (Isa.Reg.r8, Prelude.Rng.int rng 100 - 50)
-            | 2 -> Mul (Isa.Reg.r9, Isa.Reg.r7, Isa.Reg.r8)
-            | 3 -> Alu (Shl, Isa.Reg.r9, Isa.Reg.r8, Isa.Reg.r7)
-            | 4 -> Alui (Shr, Isa.Reg.r8, Isa.Reg.r8, 1)
-            | _ -> Alu (Xor, Isa.Reg.r7, Isa.Reg.r7, Isa.Reg.r8)))
-  in
-  let rec node depth =
-    if depth = 0 then block ()
-    else
-      match Prelude.Rng.int rng 3 with
-      | 0 ->
-        Isa.Ast.If
-          ({ Isa.Ast.cmp = Lt; ra = Isa.Reg.r7; rb = Isa.Reg.r8 },
-           node (depth - 1), node (depth - 1))
-      | 1 ->
-        Isa.Ast.Loop
-          { count = 1 + Prelude.Rng.int rng 4; counter = Isa.Reg.make depth;
-            body = node (depth - 1) }
-      | _ -> Isa.Ast.Seq [ node (depth - 1); block () ]
-  in
-  let program, _ =
-    Isa.Ast.compile [ { Isa.Ast.name = "main"; body = node 3 } ]
-  in
-  (program,
-   Isa.Exec.input ~regs:[ (Isa.Reg.r7, Prelude.Rng.int rng 200 - 100) ] ())
-
+(* The abstract final environment must contain the concrete final
+   registers of every input of a generated workload. *)
 let prop_interval_sound_on_random_programs =
   QCheck.Test.make
     ~name:"interval final env contains concrete final registers" ~count:150
-    QCheck.(int_range 0 100000)
-    (fun seed ->
-       let program, input = random_program seed in
-       final_env_contains program input)
+    Gen_workload.arbitrary
+    (fun w ->
+       let program, _ = Isa.Workload.program w in
+       List.for_all (final_env_contains program) w.Isa.Workload.inputs)
+
+(* Exec.alu_eval shifts left without a check: 3 lsl 31 lsl 31 wraps to a
+   negative value, so the abstract shift must not answer [limit, +oo]. *)
+let test_interval_shift_wraps () =
+  let open Isa.Instr in
+  let r1 = Isa.Reg.r1 and r2 = Isa.Reg.r2 in
+  let program =
+    link_main
+      (List.map (fun i -> Isa.Program.Ins i)
+         [ Li (r1, 3); Li (r2, 31); Alu (Shl, r1, r1, r2);
+           Alu (Shl, r1, r1, r2); Halt ])
+  in
+  Alcotest.(check bool) "wrapped shift inside its interval" true
+    (final_env_contains program (Isa.Exec.input ()))
 
 let test_dead_branch_detected () =
   let open Isa.Instr in
@@ -379,56 +357,14 @@ let test_taint_fixture_leaks () =
 (* The soundness property the certifier rests on: a register the
    analysis leaves untainted must end with the bit-identical value on
    every admissible input — checked against the concrete interpreter on
-   random structured programs whose r7 varies across three inputs. *)
-let random_taint_workload seed =
-  let rng = Prelude.Rng.make seed in
-  let open Isa.Instr in
-  let block () =
-    Isa.Ast.Block
-      (List.init
-         (1 + Prelude.Rng.int rng 4)
-         (fun _ ->
-            match Prelude.Rng.int rng 6 with
-            | 0 -> Alui (Add, Isa.Reg.r7, Isa.Reg.r7, 1)
-            | 1 -> Li (Isa.Reg.r8, Prelude.Rng.int rng 100 - 50)
-            | 2 -> Mul (Isa.Reg.r9, Isa.Reg.r7, Isa.Reg.r8)
-            | 3 -> Alu (Shl, Isa.Reg.r9, Isa.Reg.r8, Isa.Reg.r7)
-            | 4 -> Alui (Shr, Isa.Reg.r8, Isa.Reg.r8, 1)
-            | _ -> Alu (Xor, Isa.Reg.r7, Isa.Reg.r7, Isa.Reg.r8)))
-  in
-  let rec node depth =
-    if depth = 0 then block ()
-    else
-      match Prelude.Rng.int rng 3 with
-      | 0 ->
-        Isa.Ast.If
-          ({ Isa.Ast.cmp = Lt; ra = Isa.Reg.r7; rb = Isa.Reg.r8 },
-           node (depth - 1), node (depth - 1))
-      | 1 ->
-        Isa.Ast.Loop
-          { count = 1 + Prelude.Rng.int rng 4; counter = Isa.Reg.make depth;
-            body = node (depth - 1) }
-      | _ -> Isa.Ast.Seq [ node (depth - 1); block () ]
-  in
-  let program, _ =
-    Isa.Ast.compile [ { Isa.Ast.name = "main"; body = node 3 } ]
-  in
-  let inputs =
-    List.map
-      (fun _ ->
-         Isa.Exec.input
-           ~regs:[ (Isa.Reg.r7, Prelude.Rng.int rng 200 - 100) ] ())
-      [ (); (); () ]
-  in
-  (program, inputs)
-
+   generated workloads. *)
 let prop_taint_sound_on_random_programs =
   QCheck.Test.make
     ~name:"untainted registers are input-invariant on random programs"
-    ~count:150
-    QCheck.(int_range 0 100000)
-    (fun seed ->
-       let program, inputs = random_taint_workload seed in
+    ~count:150 Gen_workload.arbitrary
+    (fun w ->
+       let program, _ = Isa.Workload.program w in
+       let inputs = w.Isa.Workload.inputs in
        let t =
          Dataflow.Taint.analyze
            ~seeds:(Dataflow.Taint.seeds_of_inputs inputs) program
@@ -445,6 +381,14 @@ let prop_taint_sound_on_random_programs =
               let v o = o.Isa.Exec.final_regs.(Isa.Reg.index r) in
               List.for_all (fun o -> v o = v first) rest)
          Isa.Reg.all)
+
+(* Both arms call f: f's entry postdominates the branch, but r11 is set
+   after the then-arm's call only, so it ends 1 on one input and 0 on the
+   other. *)
+let test_taint_call_in_both_arms () =
+  let t = Dataflow.Taint.of_workload Gen_workload.call_in_both_arms in
+  Alcotest.(check bool) "r11, set after one arm's call, is tainted" true
+    (Dataflow.Taint.reg_tainted (Dataflow.Taint.final_env t) Isa.Reg.r11)
 
 (* --- Lint -------------------------------------------------------------- *)
 
@@ -604,6 +548,8 @@ let () =
          Alcotest.test_case "sound on workloads" `Quick
            test_interval_sound_on_workloads;
          QCheck_alcotest.to_alcotest prop_interval_sound_on_random_programs;
+         Alcotest.test_case "left shift that wraps" `Quick
+           test_interval_shift_wraps;
          Alcotest.test_case "dead branch detected" `Quick
            test_dead_branch_detected;
          Alcotest.test_case "no dead branches in workloads" `Quick
@@ -620,6 +566,8 @@ let () =
          Alcotest.test_case "explicit flow" `Quick test_taint_explicit_flow;
          Alcotest.test_case "implicit flow" `Quick test_taint_implicit_flow;
          Alcotest.test_case "fixture leaks" `Quick test_taint_fixture_leaks;
+         Alcotest.test_case "call in both arms" `Quick
+           test_taint_call_in_both_arms;
          QCheck_alcotest.to_alcotest prop_taint_sound_on_random_programs ]);
       ("lint",
        [ Alcotest.test_case "clean fixture" `Quick test_lint_clean_fixture;

@@ -3,8 +3,6 @@
    bit-identity, memo-table behaviour, scratch lifetime (dropped engines
    leave nothing in domain-local storage), and cross-jobs determinism. *)
 
-let reg = Isa.Reg.make
-
 (* --- Packed replay vs persistent structures ------------------------------ *)
 
 let cache_config_gen =
@@ -577,68 +575,7 @@ let test_dls_keys_module_level () =
            (String.trim line))
     sites
 
-(* --- Random programs (straight-line + forward branches) ------------------ *)
-
-(* Terminating by construction: control flow is only forward branches over
-   the next segment, so every path runs front to back. Divisions are
-   avoided; loads/stores use a freshly set non-negative base register (the
-   packed replay requires non-negative addresses, like every real
-   workload). *)
-let random_program_gen =
-  QCheck.Gen.(
-    let simple_instr =
-      let* rd = int_range 1 5 in
-      let* ra = int_range 1 5 in
-      let* rb = int_range 1 5 in
-      oneofl
-        [ Isa.Instr.Alu (Isa.Instr.Add, reg rd, reg ra, reg rb);
-          Isa.Instr.Alui (Isa.Instr.Xor, reg rd, reg ra, 13);
-          Isa.Instr.Li (reg rd, 7);
-          Isa.Instr.Mul (reg rd, reg ra, reg rb);
-          Isa.Instr.Sel (reg rd, reg ra, reg rb, reg rd) ]
-    in
-    let mem_instr =
-      let* rd = int_range 1 5 in
-      let* base = int_range 0 120 in
-      let* off = int_range 0 24 in
-      let* store = bool in
-      return
-        [ Isa.Instr.Li (reg 6, base);
-          (if store then Isa.Instr.St (reg rd, reg 6, off)
-           else Isa.Instr.Ld (reg rd, reg 6, off)) ]
-    in
-    let segment k =
-      let* body =
-        list_size (int_range 1 4)
-          (oneof [ map (fun i -> [ i ]) simple_instr; mem_instr ])
-      in
-      let body = List.concat body in
-      let* branched = bool in
-      let* cmp = oneofl [ Isa.Instr.Eq; Isa.Instr.Ne; Isa.Instr.Lt ] in
-      let* ra = int_range 1 5 in
-      let* rb = int_range 1 5 in
-      let label = Printf.sprintf "seg%d" k in
-      return
-        (if branched then
-           (Isa.Instr.Br (cmp, reg ra, reg rb, label)
-            :: body
-            |> List.map (fun i -> Isa.Program.Ins i))
-           @ [ Isa.Program.Label label ]
-         else List.map (fun i -> Isa.Program.Ins i) body)
-    in
-    let* n_segments = int_range 1 6 in
-    let rec build k =
-      if k >= n_segments then return []
-      else
-        let* seg = segment k in
-        let* rest = build (k + 1) in
-        return (seg @ rest)
-    in
-    let* body = build 0 in
-    return
-      (Isa.Program.link
-         [ { Isa.Program.name = "main";
-             body = body @ [ Isa.Program.Ins Isa.Instr.Halt ] } ]))
+(* --- Generated programs --------------------------------------------------- *)
 
 let random_state_gen program =
   QCheck.Gen.(
@@ -661,10 +598,12 @@ let random_state_gen program =
           Cache.Set_assoc.warmed Predictability.Harness.icache_config ~seed
             ~touches ~universe
         in
+        (* Warmed over the words generated programs load and store: under
+           LRU, lines a program never touches cannot change its hits. *)
         let dcache =
           Cache.Set_assoc.warmed Predictability.Harness.dcache_config
             ~seed:(seed + 1) ~touches
-            ~universe:(List.init 40 (fun i -> 100 + i))
+            ~universe:(List.init Gen_workload.words Fun.id)
         in
         return
           { Pipeline.Mem_system.imem =
@@ -688,34 +627,27 @@ let random_state_gen program =
       (Pipeline.Inorder.state ~mem
          ~predictor:(List.nth predictor_pool which) ()))
 
-let random_input_gen =
-  QCheck.Gen.(
-    let* regs =
-      list_size (int_range 0 4)
-        (let* r = int_range 1 5 in
-         let* v = int_range (-40) 40 in
-         return (reg r, v))
-    in
-    let* mem =
-      list_size (int_range 0 6)
-        (let* a = int_range 0 150 in
-         let* v = int_range (-9) 9 in
-         return (a, v))
-    in
-    return (Isa.Exec.input ~regs ~mem ()))
-
 let memo_agreement_case =
-  QCheck.Gen.(
-    let* program = random_program_gen in
-    let* states = list_size (int_range 1 3) (random_state_gen program) in
-    let* inputs = list_size (int_range 1 4) random_input_gen in
-    return (program, states, inputs))
+  let gen =
+    QCheck.Gen.(
+      let* w = Gen_workload.gen in
+      let program, _ = Isa.Workload.program w in
+      let* states = list_size (int_range 1 3) (random_state_gen program) in
+      return (w, states))
+  in
+  QCheck.make gen
+    ~print:(fun (w, states) ->
+        Printf.sprintf "%s\n%d states" (Gen_workload.print w)
+          (List.length states))
+    ~shrink:(QCheck.Shrink.pair Gen_workload.shrink QCheck.Shrink.nil)
 
 let prop_memoized_agrees_with_unmemoized =
   QCheck.Test.make ~count:200
     ~name:"memoized and unmemoized T_p agree (random programs/states/inputs)"
-    (QCheck.make memo_agreement_case)
-    (fun (program, states, inputs) ->
+    memo_agreement_case
+    (fun (w, states) ->
+       let program, _ = Isa.Workload.program w in
+       let inputs = w.Isa.Workload.inputs in
        let with_memo = Fastpath.Engine.create ~memo:true program in
        let without = Fastpath.Engine.create ~memo:false program in
        List.for_all
@@ -728,7 +660,26 @@ let prop_memoized_agrees_with_unmemoized =
                  (* and the memo hit on re-query *)
                  && Fastpath.Engine.time with_memo q i = exact)
               inputs)
-         states)
+         states
+       (* FIG1.FAST's claim on any program: over the standard uncertainty
+          space (Harness.inorder_states x inputs) Engine.grid equals the
+          interpreter, memo on and off. *)
+       &&
+       let standard = Predictability.Harness.inorder_states program w in
+       let exact =
+         List.map (fun q -> List.map (Pipeline.Inorder.time program q) inputs)
+           standard
+       in
+       List.for_all
+         (fun memo ->
+            let cell =
+              Fastpath.Engine.grid
+                (Fastpath.Engine.create ~memo program)
+                (Array.of_list standard) (Array.of_list inputs)
+            in
+            List.mapi (fun q row -> List.mapi (fun i _ -> cell q i) row) exact
+            = exact)
+         [ true; false ])
 
 (* --- Determinism across jobs, and the timer's schedule -------------------- *)
 
