@@ -337,7 +337,8 @@ let kernel_specs jobs =
         Predictability.Cache_metrics.evict Cache.Policy.Lru ~ways:4 ~max_probes:6);
     (* The path RW.CACHE spends its time on: a fill horizon beyond the
        budget explores every depth, and MRU has the most metadata patterns.
-       Budget 9 of RW.CACHE's 14 keeps one run near 30 ms. *)
+       Budget 9 of RW.CACHE's 14 keeps the work the same across bench
+       points; one run takes about 0.3 ms. *)
     stage ~engine:"fast" "RW.CACHE/fill_mru4" (fun () ->
         Predictability.Cache_metrics.fill ~engine:`Fast Cache.Policy.Mru
           ~ways:4 ~max_probes:9);

@@ -18,6 +18,15 @@ dune exec bin/predlab.exe -- run EQ4 --jobs 2
 # still run.
 dune exec predbench/e2e.exe -- --workload paper_all --seconds 0 --seed 1
 dune exec bench/main.exe -- --only RW.CACHE
+# Exploration-work gate: RW.CACHE's fast search steps only each depth's
+# distinct finals and their relabelled copies, 6,639 transitions in all,
+# where a search that re-enumerates every start state at every depth steps
+# 3,757,678. The count is the same at every --jobs and on every host, so
+# unlike a wall-clock bound it cannot flake.
+dune exec bin/predlab.exe -- run RW.CACHE --jobs 1 --format json \
+  > _build/rw-cache.json
+rw_evals=$(sed -n 's/^ *"evals": \([0-9]*\)$/\1/p' _build/rw-cache.json)
+test "$rw_evals" -le 20000
 # Determinism gate: the timer decides where matrix rows run (batched rows
 # inline or fanned out, scalar rows fanned out), and sampled cells fan out
 # through one shared engine grid, so the experiments on those paths must

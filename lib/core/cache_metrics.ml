@@ -90,29 +90,33 @@ let rec set_add s key =
 
 let set_iter f s = Array.iter (fun k -> if k >= 0 then f k) s.cells
 
-(* Push every collapsed initial state through probes 1..j and return the
-   distinct finals' count and whether any still holds an old block. A state
-   is one int key: the slot tags, then the metadata words. The initial
-   states are distinct by construction, so each is stepped by probe 1 as it
-   is generated; the successors of every probe go into a set, which removes
-   repeats before the next. One eval per transition stepped. *)
-let explore kind ~ways ~j =
+(* Depth j's collapsed initial states are depth j-1's (each slot holds the
+   old tag or a probe below j, no probe twice) plus each of them with one
+   old slot holding j. Like tag 0, tag j is not accessed before probe j, so
+   it commutes with probes 1..j-1 (a relabelled block they evict leaves the
+   same final): depth j's finals are depth j-1's distinct finals and each
+   copy of one with an old slot relabelled j, all stepped by probe j. The
+   search starts from the all-old states, one per metadata pattern, and
+   reads each depth's verdicts before going deeper. A state is one int key,
+   the slot tags in [bits j] bits each and then the metadata words, so
+   depth j-1's keys are decoded at their own width. One eval per
+   transition stepped. *)
+let fast_search ~fill kind ~ways ~max_probes =
+  (* Rejects the geometries the policy cannot represent. *)
+  ignore (Cache.Policy.init kind ~ways);
   let patterns =
     List.map Array.of_list (Cache.Policy.meta_patterns kind ~ways)
   in
   let width = Cache.Policy.meta_width kind ~ways in
-  let tag_bits = bits j in
   let meta_bits = bits (List.fold_left (Array.fold_left max) 1 patterns) in
-  if (ways * tag_bits) + (width * meta_bits) > Sys.int_size - 1 then
-    invalid_arg "Cache_metrics: geometry too large for the packed exploration";
   let slots = Array.make ways old and meta = Array.make width 0 in
-  let encode () =
+  let encode tag_bits =
     let key = ref 0 in
     for k = 0 to ways - 1 do key := (!key lsl tag_bits) lor slots.(k) done;
     for k = 0 to width - 1 do key := (!key lsl meta_bits) lor meta.(k) done;
     !key
   in
-  let decode key =
+  let decode tag_bits key =
     let key = ref key in
     for k = width - 1 downto 0 do
       meta.(k) <- !key land ((1 lsl meta_bits) - 1);
@@ -123,69 +127,44 @@ let explore kind ~ways ~j =
       key := !key lsr tag_bits
     done
   in
-  let step p =
-    ignore (Cache.Policy.packed_step kind ~slots ~base:0 ~ways ~meta ~mbase:0 p)
-  in
-  let frontier = ref (set_create 0) and evals = ref 0 in
-  let start = Array.make ways old and used = Array.make (j + 1) false in
-  (* Each slot holds the old tag or a probe, no probe twice. *)
-  let rec place k =
-    if k = ways then
-      List.iter
-        (fun pattern ->
-           Array.blit start 0 slots 0 ways;
-           Array.blit pattern 0 meta 0 width;
-           step 1;
-           incr evals;
-           set_add !frontier (encode ()))
-        patterns
-    else begin
-      start.(k) <- old;
-      place (k + 1);
-      for p = 1 to j do
-        if not used.(p) then begin
-          used.(p) <- true;
-          start.(k) <- p;
-          place (k + 1);
-          used.(p) <- false
-        end
-      done
-    end
-  in
-  place 0;
-  for p = 2 to j do
-    Prelude.Parallel.check_deadline ();
-    let next = set_create !frontier.count in
-    set_iter
-      (fun key ->
-         decode key;
-         step p;
-         set_add next (encode ()))
-      !frontier;
-    evals := !evals + !frontier.count;
-    frontier := next
-  done;
-  Prelude.Instrument.add_evals !evals;
-  let old_survives = ref false in
-  set_iter
-    (fun key ->
-       decode key;
-       if Array.mem old slots then old_survives := true)
-    !frontier;
-  (!frontier.count, !old_survives)
-
-let fast_search ~fill kind ~ways ~max_probes =
-  (* Rejects the geometries the policy cannot represent. *)
-  ignore (Cache.Policy.init kind ~ways);
-  let rec try_probes j =
+  let rec deeper j finals =
     if j > max_probes then Beyond max_probes
     else begin
-      let distinct, old_survives = explore kind ~ways ~j in
-      if (not old_survives) && ((not fill) || distinct = 1) then Exact j
-      else try_probes (j + 1)
+      let tag_bits = bits j and final_bits = bits (j - 1) in
+      if (ways * tag_bits) + (width * meta_bits) > Sys.int_size - 1 then
+        invalid_arg
+          "Cache_metrics: geometry too large for the packed exploration";
+      Prelude.Parallel.check_deadline ();
+      let next = set_create finals.count in
+      let evals = ref 0 and old_survives = ref false in
+      set_iter
+        (fun key ->
+           (* [relabel] -1 steps the final itself. *)
+           for relabel = -1 to ways - 1 do
+             decode final_bits key;
+             if relabel < 0 || slots.(relabel) = old then begin
+               if relabel >= 0 then slots.(relabel) <- j;
+               ignore
+                 (Cache.Policy.packed_step kind ~slots ~base:0 ~ways ~meta
+                    ~mbase:0 j);
+               incr evals;
+               if Array.mem old slots then old_survives := true;
+               set_add next (encode tag_bits)
+             end
+           done)
+        finals;
+      Prelude.Instrument.add_evals !evals;
+      if (not !old_survives) && ((not fill) || next.count = 1) then Exact j
+      else deeper (j + 1) next
     end
   in
-  try_probes 1
+  let start = set_create (List.length patterns) in
+  List.iter
+    (fun pattern ->
+       Array.blit pattern 0 meta 0 width;
+       set_add start (encode (bits 0)))
+    patterns;
+  deeper 1 start
 
 let evict ?jobs ?(engine = `Exact) kind ~ways ~max_probes =
   match engine with

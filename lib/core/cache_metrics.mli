@@ -32,13 +32,17 @@ val evict :
     initial state from {!Cache.Policy.enumerate_full_states} is stepped by
     the persistent {!Cache.Policy.access} on [jobs] worker domains (default
     {!Prelude.Parallel.default_jobs}), one eval per state and probe. Under
-    [`Fast], one sequential exploration for every policy, stepped by
-    {!Cache.Policy.packed_step}: the never-accessed old blocks collapse to
-    one tag (every policy compares a slot only with the accessed tag or with
-    "empty", so the verdicts are unchanged), and repeated states are
-    removed after each probe; one eval per transition stepped. Both engines
-    give the same estimate, for any job count.
-    @raise Invalid_argument on geometries the policy cannot represent. *)
+    [`Fast], one sequential search for every policy, stepped by
+    {!Cache.Policy.packed_step}, that goes one probe depth at a time: the
+    never-accessed old blocks collapse to one tag (every policy compares a
+    slot only with the accessed tag or with "empty", so the verdicts are
+    unchanged), and depth [j] steps by probe [j] only the distinct final
+    states of depth [j-1] and each copy of one with an old slot relabelled
+    [j]; one eval per transition stepped. Both engines give the same
+    estimate, for any job count.
+    @raise Invalid_argument on geometries the policy cannot represent, and
+    under [`Fast] at the first depth whose tags no longer fit the packed
+    int key. *)
 
 val fill :
   ?jobs:int -> ?engine:[ `Exact | `Fast ] ->

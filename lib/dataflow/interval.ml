@@ -52,7 +52,15 @@ let to_string itv =
 
 let add_lo a b = if a = ninf || b = ninf then ninf else a + b
 let add_hi a b = if a = pinf || b = pinf then pinf else a + b
-let add a b = norm (add_lo a.lo b.lo) (add_hi a.hi b.hi)
+(* Exec.alu_eval's addition wraps the native integers, so a sum that may
+   pass an infinite bound answers top: +oo beside a positive upper bound,
+   or -oo beside a negative lower bound. Every other sum stays in range. *)
+let add a b =
+  let may_wrap x y = (x = pinf && y > 0) || (x = ninf && y < 0) in
+  if may_wrap a.hi b.hi || may_wrap b.hi a.hi || may_wrap a.lo b.lo
+     || may_wrap b.lo a.lo
+  then top
+  else norm (add_lo a.lo b.lo) (add_hi a.hi b.hi)
 
 let neg itv =
   norm

@@ -34,7 +34,8 @@ val mem : int -> itv -> bool
 val is_const : itv -> bool
 val join_itv : itv -> itv -> itv
 val add : itv -> itv -> itv
-(** Abstract addition (used e.g. to form effective-address intervals). *)
+(** Abstract addition (used e.g. to form effective-address intervals);
+    [top] where the concrete sum may wrap past an infinite bound. *)
 
 val to_string : itv -> string
 (** e.g. ["[0, 31]"], ["[-oo, 5]"], ["top"]. *)

@@ -230,6 +230,21 @@ let test_metrics_plru_fill_unbounded () =
   | Predictability.Cache_metrics.Exact n ->
     Alcotest.failf "PLRU fill should exceed the budget, got %d" n
 
+(* Eight ways, through the packed exploration: LRU is still minimal and
+   PLRU evict is k/2 * log2 k + 1 = 13. The budget of 100 is far past both
+   horizons; tags sized for it would need 8 * 7 + 7 = 63 key bits, so this
+   also pins that the key width follows the depth being explored. *)
+let test_metrics_eight_ways () =
+  exact_estimate "LRU evict k=8" 8
+    (Predictability.Cache_metrics.evict ~engine:`Fast Cache.Policy.Lru ~ways:8
+       ~max_probes:100);
+  exact_estimate "LRU fill k=8" 8
+    (Predictability.Cache_metrics.fill ~engine:`Fast Cache.Policy.Lru ~ways:8
+       ~max_probes:100);
+  exact_estimate "PLRU evict k=8" 13
+    (Predictability.Cache_metrics.evict ~engine:`Fast Cache.Policy.Plru
+       ~ways:8 ~max_probes:100)
+
 let test_domino_nonlinear_no_rates () =
   (* Quadratic growth: divergent but with no steady per-iteration rate. *)
   let time n q = (n * n) + q in
@@ -516,6 +531,8 @@ let () =
          Alcotest.test_case "PLRU fill unbounded" `Slow
            test_metrics_plru_fill_unbounded;
          Alcotest.test_case "LRU minimal" `Quick test_metrics_ordering;
+         Alcotest.test_case "eight-way horizons (packed)" `Slow
+           test_metrics_eight_ways;
          Alcotest.test_case "estimate rendering" `Quick
            test_metrics_estimate_rendering ]);
       ("dynamical",

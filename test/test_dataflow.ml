@@ -174,19 +174,31 @@ let prop_interval_sound_on_random_programs =
        let program, _ = Isa.Workload.program w in
        List.for_all (final_env_contains program) w.Isa.Workload.inputs)
 
-(* Exec.alu_eval shifts left without a check: 3 lsl 31 lsl 31 wraps to a
-   negative value, so the abstract shift must not answer [limit, +oo]. *)
-let test_interval_shift_wraps () =
+(* Exec.alu_eval shifts and adds without a check, so a straight-line
+   program can wrap the native integers; its final registers must still lie
+   inside their intervals. *)
+let wrapped_inside_intervals instrs () =
+  let program = link_main (List.map (fun i -> Isa.Program.Ins i) instrs) in
+  Alcotest.(check bool) "wrapped value inside its interval" true
+    (final_env_contains program (Isa.Exec.input ()))
+
+(* 3 lsl 31 lsl 31 wraps to a negative value, so the abstract shift must
+   not answer [limit, +oo]. *)
+let test_interval_shift_wraps =
   let open Isa.Instr in
   let r1 = Isa.Reg.r1 and r2 = Isa.Reg.r2 in
-  let program =
-    link_main
-      (List.map (fun i -> Isa.Program.Ins i)
-         [ Li (r1, 3); Li (r2, 31); Alu (Shl, r1, r1, r2);
-           Alu (Shl, r1, r1, r2); Halt ])
-  in
-  Alcotest.(check bool) "wrapped shift inside its interval" true
-    (final_env_contains program (Isa.Exec.input ()))
+  wrapped_inside_intervals
+    [ Li (r1, 3); Li (r2, 31); Alu (Shl, r1, r1, r2); Alu (Shl, r1, r1, r2);
+      Halt ]
+
+(* 2^60 doubled twice ends at -2^62, so the abstract sum of [2^50, +oo]
+   with itself must not stay at +oo. *)
+let test_interval_add_wraps =
+  let open Isa.Instr in
+  let r1 = Isa.Reg.r1 and r2 = Isa.Reg.r2 in
+  wrapped_inside_intervals
+    [ Li (r1, 1); Li (r2, 30); Alu (Shl, r1, r1, r2); Alu (Shl, r1, r1, r2);
+      Alu (Add, r1, r1, r1); Alu (Add, r1, r1, r1); Halt ]
 
 let test_dead_branch_detected () =
   let open Isa.Instr in
@@ -550,6 +562,8 @@ let () =
          QCheck_alcotest.to_alcotest prop_interval_sound_on_random_programs;
          Alcotest.test_case "left shift that wraps" `Quick
            test_interval_shift_wraps;
+         Alcotest.test_case "addition that wraps" `Quick
+           test_interval_add_wraps;
          Alcotest.test_case "dead branch detected" `Quick
            test_dead_branch_detected;
          Alcotest.test_case "no dead branches in workloads" `Quick
