@@ -14,10 +14,12 @@ dune runtest
 dune exec bin/predlab.exe -- run EQ4 --jobs 2
 # Paper-reproduction gate: one `predlab all --jobs 1`, whose 30 section
 # digests must match predbench/golden/paper_all.digests (the harness exits
-# 1 on any mismatch). The RW.CACHE bench kernels, fast and exact, must
-# still run.
+# 1 on any mismatch). The RW.CACHE and FIG1 bench kernels, fast and exact,
+# must still run; the fast FIG1 kernel times a grid cell, as `eval`,
+# `sample` and `all` address cells.
 dune exec predbench/e2e.exe -- --workload paper_all --seconds 0 --seed 1
 dune exec bench/main.exe -- --only RW.CACHE
+dune exec bench/main.exe -- --only FIG1/
 # Exploration-work gate: RW.CACHE's fast search steps only each depth's
 # distinct finals and their relabelled copies, 6,639 transitions in all,
 # where a search that re-enumerates every start state at every depth steps

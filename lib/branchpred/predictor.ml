@@ -129,19 +129,6 @@ let replay t =
     Rdyn { kind; rtable = Array.copy table; rhistory = history;
            threshold; max_counter }
 
-let replay_copy = function
-  | Rstatic _ as r -> r
-  | Rdyn d -> Rdyn { d with rtable = Array.copy d.rtable }
-
-let replay_reset ~dst ~src =
-  match dst, src with
-  | Rstatic _, Rstatic _ -> ()
-  | Rdyn d, Rdyn s ->
-    Array.blit s.rtable 0 d.rtable 0 (Array.length s.rtable);
-    d.rhistory <- s.rhistory
-  | (Rstatic _ | Rdyn _), _ ->
-    invalid_arg "Predictor.replay_reset: mismatched replay kinds"
-
 let replay_correct r event =
   match r with
   | Rstatic p -> predict p event = event.taken

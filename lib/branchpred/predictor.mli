@@ -59,16 +59,12 @@ val wcet_oriented : branch_event list list -> static_scheme
     {!update} copies the counter table per trained branch; a replay steps
     one mutable working copy in place, producing exactly the
     correct/incorrect sequence of [predict]/[update] — pinned by the test
-    suite. *)
+    suite. A replay is never rewound: to replay from the same state again,
+    build a new one from the persistent predictor. *)
 
 type replay
 
 val replay : t -> replay
-val replay_copy : replay -> replay
-
-val replay_reset : dst:replay -> src:replay -> unit
-(** Overwrite [dst] with [src]'s state without allocating (same scheme
-    shape required). @raise Invalid_argument on mismatched replays. *)
 
 val replay_correct : replay -> branch_event -> bool
 (** Whether the prediction was correct for this event; trains in place. *)

@@ -95,13 +95,6 @@ let replay t =
     t.state;
   { rconfig = t.config; slots; meta; meta_width }
 
-let replay_copy r =
-  { r with slots = Array.copy r.slots; meta = Array.copy r.meta }
-
-let replay_reset ~dst ~src =
-  Array.blit src.slots 0 dst.slots 0 (Array.length src.slots);
-  Array.blit src.meta 0 dst.meta 0 (Array.length src.meta)
-
 let replay_access r addr =
   let set = set_of_addr r.rconfig addr in
   Policy.packed_step r.rconfig.kind ~slots:r.slots

@@ -46,18 +46,14 @@ val state_samples : config -> universe:int list -> count:int -> seed:int -> t li
     [int array]s, stepped in place by {!Policy.packed_step}. Replays assume
     non-negative addresses (every real address stream). A replay's accesses
     produce exactly the hit/miss sequence of the persistent cache it was
-    built from — pinned by the test suite. *)
+    built from — pinned by the test suite. A replay is never rewound: to
+    replay from the same state again, build a new one from the persistent
+    cache, as the fast-path engine does on every memo miss. *)
 
 type replay
 
 val replay : t -> replay
 (** Mutable working copy of the cache's current state. *)
-
-val replay_copy : replay -> replay
-
-val replay_reset : dst:replay -> src:replay -> unit
-(** Overwrite [dst] with [src]'s state without allocating. The two must
-    come from caches of identical geometry and kind. *)
 
 val replay_access : replay -> int -> bool
 (** [replay_access r addr] is the hit/miss result of {!access}, updating

@@ -62,10 +62,11 @@ let add a b =
   then top
   else norm (add_lo a.lo b.lo) (add_hi a.hi b.hi)
 
+(* Exec.alu_eval negates min_int to min_int, so a lower bound of -oo
+   answers top rather than an upper bound of +oo. *)
 let neg itv =
-  norm
-    (if itv.hi = pinf then ninf else -itv.hi)
-    (if itv.lo = ninf then pinf else -itv.lo)
+  if itv.lo = ninf then top
+  else norm (if itv.hi = pinf then ninf else -itv.hi) (-itv.lo)
 
 let sub a b = add a (neg b)
 

@@ -14,7 +14,9 @@
     internal limit are widened to infinity so abstract arithmetic never
     wraps while the concrete 63-bit machine cannot wrap below the limit
     either. A left shift that may carry a value past the native integers
-    is top: the concrete shift wraps, to either sign.
+    is top: the concrete shift wraps, to either sign. So is a negation
+    (and so a subtraction) of an interval unbounded below, since the
+    concrete negation of [min_int] is [min_int].
 
     Conditional branches refine both operand intervals on each outgoing
     edge; an edge whose refinement is empty is dead, which is how

@@ -3,51 +3,6 @@ type level_replay =
   | Lpure of Pipeline.Mem_system.level
   | Lcached of { rep : Cache.Set_assoc.replay; hit : int; miss : int }
 
-(* Per-row working state: templates seeded once from [q], working copies
-   reset by blitting before every cell. *)
-type prepared = {
-  imem_t : level_replay;
-  dmem_t : level_replay;
-  pred_t : Branchpred.Predictor.replay;
-  imem_w : level_replay;
-  dmem_w : level_replay;
-  pred_w : Branchpred.Predictor.replay;
-}
-
-(* Per-domain scratch: the last state the domain worked on, with its key
-   and (once a cell of it missed the memo) its prepared replay, plus the
-   last input [time] was called with and its compiled trace. [time] calls
-   pass the same state along a row and often the same input repeatedly,
-   so a physical-equality hit skips re-packing the state (state key,
-   prepare) and re-marshalling the input (trace keying); a grid keeps its
-   own keys and traces and takes only the prepared replay from the slot.
-   Domain-local by construction — prepared working arrays are mutated
-   during a cell, so they must never be shared across domains.
-
-   There is one slot per domain, under one module-level key, whatever the
-   number of engines: OCaml never frees a domain-local key, so a key per
-   engine would keep every engine's last state, prepared context and trace
-   reachable from every long-lived domain for the life of the process. The
-   slot names the engine it serves by [id] rather than holding it, and is
-   cleared when another engine takes it over, so all it ever retains is
-   the last cell's state, input and their derived data. *)
-type slot = {
-  mutable owner : int;
-  mutable s_state : Pipeline.Inorder.state option;
-  mutable s_skey : string;
-  mutable s_prep : prepared option;
-  mutable s_input : Isa.Exec.input option;
-  mutable s_trace : Trace.compiled option;
-}
-
-let empty_slot () =
-  { owner = -1; s_state = None; s_skey = ""; s_prep = None; s_input = None;
-    s_trace = None }
-
-let slot = Domain.DLS.new_key empty_slot
-
-let next_id = Atomic.make 0
-
 (* The memo table, optionally size-bounded for resident use (the serve
    daemon): [order] remembers insertion order and the oldest entries are
    evicted first once [bound] is exceeded. FIFO rather than LRU on
@@ -61,7 +16,6 @@ type memo_table = {
 }
 
 type t = {
-  id : int;
   program : Isa.Program.t;
   digest : int;
   memo : memo_table option;
@@ -74,8 +28,7 @@ let create ?(memo = true) ?memo_bound program =
    | Some b when b < 1 ->
      invalid_arg "Fastpath.Engine.create: memo_bound must be >= 1"
    | _ -> ());
-  { id = Atomic.fetch_and_add next_id 1;
-    program;
+  { program;
     digest = Isa.Program.digest program;
     memo =
       (if memo then
@@ -85,10 +38,6 @@ let create ?(memo = true) ?memo_bound program =
        else None);
     traces = Hashtbl.create 64;
     mu = Mutex.create () }
-
-let memoized t = t.memo <> None
-
-let memo_bound t = Option.bind t.memo (fun m -> m.bound)
 
 let with_lock t f =
   Mutex.lock t.mu;
@@ -120,17 +69,6 @@ let level_replay = function
     Lpure level
   | Pipeline.Mem_system.Cached { cache; hit; miss } ->
     Lcached { rep = Cache.Set_assoc.replay cache; hit; miss }
-
-let level_copy = function
-  | Lpure _ as l -> l
-  | Lcached c -> Lcached { c with rep = Cache.Set_assoc.replay_copy c.rep }
-
-let level_reset ~dst ~src =
-  match dst, src with
-  | Lpure _, Lpure _ -> ()
-  | Lcached d, Lcached s ->
-    Cache.Set_assoc.replay_reset ~dst:d.rep ~src:s.rep
-  | (Lpure _ | Lcached _), _ -> assert false
 
 let level_cost l addr =
   match l with
@@ -166,34 +104,26 @@ let state_key t (st : Pipeline.Inorder.state) =
          @ level_pack st.mem.Pipeline.Mem_system.dmem
          @ Branchpred.Predictor.pack st.predictor))
 
-let prepare (st : Pipeline.Inorder.state) =
-  let imem_t = level_replay st.mem.Pipeline.Mem_system.imem in
-  let dmem_t = level_replay st.mem.Pipeline.Mem_system.dmem in
-  let pred_t = Branchpred.Predictor.replay st.predictor in
-  { imem_t; dmem_t; pred_t;
-    imem_w = level_copy imem_t;
-    dmem_w = level_copy dmem_t;
-    pred_w = Branchpred.Predictor.replay_copy pred_t }
-
-(* One cell: every event of the trace steps the packed machine state
-   cycle-accurately, mirroring [Pipeline.Inorder.run] term for term. *)
-let run_cell p (tr : Trace.compiled) =
-  level_reset ~dst:p.imem_w ~src:p.imem_t;
-  level_reset ~dst:p.dmem_w ~src:p.dmem_t;
-  Branchpred.Predictor.replay_reset ~dst:p.pred_w ~src:p.pred_t;
+(* One cell: the packed replay of [st] is built here and dropped on return;
+   every event of the trace steps it cycle-accurately, mirroring
+   [Pipeline.Inorder.run] term for term. *)
+let run_cell (st : Pipeline.Inorder.state) (tr : Trace.compiled) =
+  let imem = level_replay st.mem.Pipeline.Mem_system.imem in
+  let dmem = level_replay st.mem.Pipeline.Mem_system.dmem in
+  let pred = Branchpred.Predictor.replay st.predictor in
   let cyc = ref 0 in
   for k = 0 to tr.Trace.events - 1 do
-    cyc := !cyc + level_cost p.imem_w tr.Trace.iaddr.(k);
+    cyc := !cyc + level_cost imem tr.Trace.iaddr.(k);
     cyc := !cyc + tr.Trace.base.(k);
     let da = tr.Trace.daddr.(k) in
-    if da >= 0 then cyc := !cyc + level_cost p.dmem_w da;
+    if da >= 0 then cyc := !cyc + level_cost dmem da;
     if tr.Trace.br.(k) then begin
       let ev =
         { Branchpred.Predictor.pc = tr.Trace.pcs.(k);
           backward = tr.Trace.br_backward.(k);
           taken = tr.Trace.br_taken.(k) }
       in
-      if not (Branchpred.Predictor.replay_correct p.pred_w ev) then
+      if not (Branchpred.Predictor.replay_correct pred ev) then
         cyc := !cyc + Pipeline.Latency.branch_mispredict_penalty
     end
   done;
@@ -216,45 +146,11 @@ let memo_insert m key v =
       done
   end
 
-(* The domain's slot, claimed for [t] and holding [st]. [key t st] must
-   give [st]'s state key; it runs only when the slot held another state.
-   This is the one place that keeps [s_skey] the key of [s_state]. *)
-let claim t st key =
-  let s = Domain.DLS.get slot in
-  if s.owner <> t.id then begin
-    s.owner <- t.id;
-    s.s_state <- None;
-    s.s_input <- None;
-    s.s_trace <- None
-  end;
-  (match s.s_state with
-   | Some st' when st' == st -> ()
-   | _ ->
-     let skey = key t st in
-     s.s_state <- Some st;
-     s.s_skey <- skey;
-     s.s_prep <- None);
-  s
-
-(* A memo miss: the prepared replay of [st] comes from the domain's slot,
-   built there on the first miss of a state. *)
-let replay t ~skey st tr =
-  let s = claim t st (fun _ _ -> skey) in
-  let p =
-    match s.s_prep with
-    | Some p -> p
-    | None ->
-      let p = prepare st in
-      s.s_prep <- Some p;
-      p
-  in
-  run_cell p tr
-
-(* One cell through the memo, looked up on [skey] (the packed state) before
-   anything is prepared, so a hit never packs the replay state. *)
+(* One cell through the memo, looked up on [skey] (the packed state), so a
+   hit never builds the replay. *)
 let cell t ~skey st tr =
   match t.memo with
-  | None -> replay t ~skey st tr
+  | None -> run_cell st tr
   | Some memo -> (
       let key = skey ^ "#" ^ tr.Trace.key in
       match with_lock t (fun () -> Hashtbl.find_opt memo.cells key) with
@@ -263,22 +159,9 @@ let cell t ~skey st tr =
         v
       | None ->
         Prelude.Instrument.add_memo_misses 1;
-        let v = replay t ~skey st tr in
+        let v = run_cell st tr in
         with_lock t (fun () -> memo_insert memo key v);
         v)
-
-let time t st input =
-  let s = claim t st state_key in
-  let tr =
-    match s.s_input, s.s_trace with
-    | Some i', Some tr when i' == input -> tr
-    | _ ->
-      let tr = trace_for t input in
-      s.s_input <- Some input;
-      s.s_trace <- Some tr;
-      tr
-  in
-  cell t ~skey:s.s_skey st tr
 
 (* The callers' arrays are the intern table: a state's key and an input's
    trace are computed on the first cell that uses the index. Domains that
@@ -306,3 +189,5 @@ let grid t states inputs =
         tr
     in
     cell t ~skey st tr
+
+let time t st input = grid t [| st |] [| input |] 0 0

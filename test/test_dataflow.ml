@@ -200,6 +200,14 @@ let test_interval_add_wraps =
     [ Li (r1, 1); Li (r2, 30); Alu (Shl, r1, r1, r2); Alu (Shl, r1, r1, r2);
       Alu (Add, r1, r1, r1); Alu (Add, r1, r1, r1); Halt ]
 
+(* 0 - min_int wraps to min_int, so the abstract negation of
+   [-oo, -limit] must not answer [limit, +oo]. *)
+let test_interval_neg_wraps =
+  let open Isa.Instr in
+  let r1 = Isa.Reg.r1 and r3 = Isa.Reg.r3 in
+  wrapped_inside_intervals
+    [ Li (r1, min_int); Li (r3, 0); Alu (Sub, r3, r3, r1); Halt ]
+
 let test_dead_branch_detected () =
   let open Isa.Instr in
   let r1 = Isa.Reg.r1 and r2 = Isa.Reg.r2 and r3 = Isa.Reg.r3 in
@@ -564,6 +572,8 @@ let () =
            test_interval_shift_wraps;
          Alcotest.test_case "addition that wraps" `Quick
            test_interval_add_wraps;
+         Alcotest.test_case "negation that wraps" `Quick
+           test_interval_neg_wraps;
          Alcotest.test_case "dead branch detected" `Quick
            test_dead_branch_detected;
          Alcotest.test_case "no dead branches in workloads" `Quick

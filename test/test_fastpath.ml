@@ -1,7 +1,8 @@
 (* Tests for the fast-path T_p(q,i) engine: packed replay equivalence at
    every layer (policy sets, caches, predictors), engine-vs-interpreter
    bit-identity, memo-table behaviour, scratch lifetime (dropped engines
-   leave nothing in domain-local storage), and cross-jobs determinism. *)
+   and the states they replayed are all collected), and cross-jobs
+   determinism. *)
 
 (* --- Packed replay vs persistent structures ------------------------------ *)
 
@@ -50,20 +51,6 @@ let prop_set_assoc_replay_matches_access =
            (start, 0, ()) addrs
        in
        true)
-
-let prop_replay_reset_restores =
-  QCheck.Test.make ~count:200 ~name:"replay_reset restores the template"
-    (QCheck.make replay_vs_access_case)
-    (fun (config, touches, seed, addrs) ->
-       let universe = List.init 32 (fun i -> i * 3) in
-       let start = Cache.Set_assoc.warmed config ~seed ~touches ~universe in
-       let template = Cache.Set_assoc.replay start in
-       let working = Cache.Set_assoc.replay_copy template in
-       let run () =
-         Cache.Set_assoc.replay_reset ~dst:working ~src:template;
-         List.map (Cache.Set_assoc.replay_access working) addrs
-       in
-       run () = run ())
 
 (* Random single-set states of every kind: warmed from empty (full or
    partly empty), or drawn from the full-state enumeration, which also
@@ -366,7 +353,6 @@ let test_memo_hit_miss_counting () =
   let states = Predictability.Harness.inorder_states program w in
   let inputs = Array.of_list (take 6 w.Isa.Workload.inputs) in
   let eng = Fastpath.Engine.create ~memo:true program in
-  Alcotest.(check bool) "memoized" true (Fastpath.Engine.memoized eng);
   let cell = Fastpath.Engine.grid eng (Array.of_list states) inputs in
   let row () = Array.init (Array.length inputs) (cell 0) in
   let before = Prelude.Instrument.snapshot () in
@@ -431,10 +417,6 @@ let test_memo_bound_caps_occupancy () =
   let bound = 4 in
   let bounded = Fastpath.Engine.create ~memo:true ~memo_bound:bound program in
   let unbounded = Fastpath.Engine.create ~memo:true program in
-  Alcotest.(check (option int)) "bound recorded" (Some bound)
-    (Fastpath.Engine.memo_bound bounded);
-  Alcotest.(check (option int)) "unbounded engine has no bound" None
-    (Fastpath.Engine.memo_bound unbounded);
   List.iter
     (fun q ->
        List.iter
@@ -493,8 +475,8 @@ let test_memo_bound_validated () =
 
 (* A resident process (the CLI's main domain, a daemon worker) creates
    engines for as long as it lives. Once an engine and its state are
-   dropped, the collector must be able to reclaim the state: the domain's
-   one scratch slot may keep the last state it served, nothing more. *)
+   dropped, the collector must be able to reclaim the state: nothing keeps
+   a state past the cell that replayed it, so every one comes back. *)
 let leak_engines = 200
 
 let[@inline never] time_on_fresh_engines reclaimed =
@@ -515,7 +497,7 @@ let test_dropped_engines_reclaimed () =
   time_on_fresh_engines reclaimed;
   Gc.full_major ();
   Gc.full_major ();
-  if !reclaimed < leak_engines - 1 then
+  if !reclaimed < leak_engines then
     Alcotest.failf "%d of %d dropped states reclaimed" !reclaimed
       leak_engines
 
@@ -841,7 +823,6 @@ let () =
     [ ("replay",
        [ QCheck_alcotest.to_alcotest prop_set_assoc_replay_matches_access;
          QCheck_alcotest.to_alcotest prop_packed_step_matches_access;
-         QCheck_alcotest.to_alcotest prop_replay_reset_restores;
          QCheck_alcotest.to_alcotest prop_predictor_replay_matches_update;
          Alcotest.test_case "Policy.pack injective" `Quick
            test_policy_pack_injective ]);
