@@ -100,8 +100,7 @@ let serve_pool_fixture =
          (Printf.sprintf "predlab-bench-%d.sock" (Unix.getpid ()))
      in
      let config =
-       { Serve.Daemon.socket; jobs = 1; deadline_s = None;
-         memo_bound = Serve.Daemon.default_memo_bound; conns = 4;
+       { Serve.Daemon.socket; jobs = 1; deadline_s = None; conns = 4;
          queue = Serve.Daemon.default_queue; idle_s = None; drain_s = 2.;
          max_frame = Serve.Daemon.default_max_frame }
      in

@@ -39,17 +39,25 @@ let apply_injections specs =
   if sites <> [] then Prelude.Faults.arm sites
 
 let supervision_of ~deadline ~retries =
-  { Predictability.Experiments.default_supervision with
-    deadline_s = deadline; retries }
+  { Predictability.Experiments.deadline_s = deadline; retries }
 
 (* Final reports are written via a temporary file, a rename and a parent-
    directory fsync (Journal.write_atomic), so a crash mid-write can never
    leave a half-document where a previous good report used to be — and a
-   crash just after cannot roll the rename back. *)
+   crash just after cannot roll the rename back. A path it cannot write is
+   a usage error (exit 2). *)
 let emit ~out contents =
   match out with
   | None -> print_string contents
-  | Some path -> Predictability.Journal.write_atomic path contents
+  | Some path -> (
+      try Predictability.Journal.write_atomic path contents with
+      | Sys_error reason ->
+        Printf.eprintf "predlab: cannot write --out %s: %s\n" path reason;
+        exit 2
+      | Unix.Unix_error (err, fn, arg) ->
+        Printf.eprintf "predlab: cannot write --out %s: %s: %s %s\n" path
+          (Unix.error_message err) fn arg;
+        exit 2)
 
 let render_supervised_text results =
   let buf = Buffer.create 4096 in
@@ -373,12 +381,11 @@ let sample jobs format seed samples confidence check names =
    until a shutdown request or SIGTERM/SIGINT arrives (graceful drain
    either way); exits 0 on that clean path, 2 on any setup failure
    (socket busy, bad flags). *)
-let serve socket jobs deadline cache_bound conns queue idle drain max_frame =
+let serve socket jobs deadline conns queue idle drain max_frame =
   apply_jobs jobs;
   let config =
-    { Serve.Daemon.socket; jobs; deadline_s = deadline;
-      memo_bound = cache_bound; conns; queue; idle_s = idle;
-      drain_s = drain; max_frame }
+    { Serve.Daemon.socket; jobs; deadline_s = deadline; conns; queue;
+      idle_s = idle; drain_s = drain; max_frame }
   in
   let on_ready () =
     Printf.eprintf "predlab serve: listening on %s (jobs=%d, conns=%d)\n%!"
@@ -873,14 +880,6 @@ let socket_arg =
            ~doc:"Unix-domain socket path of the daemon.")
 
 let serve_cmd =
-  let cache_bound_arg =
-    Arg.(value
-         & opt positive_int Serve.Daemon.default_memo_bound
-         & info [ "cache-bound" ] ~docv:"N"
-             ~doc:"Upper bound on memoized T_p cells per workload engine \
-                   (FIFO eviction past it). The $(b,stats) op reports \
-                   occupancy.")
-  in
   let conns_arg =
     Arg.(value
          & opt positive_int Serve.Daemon.default_conns
@@ -946,14 +945,15 @@ let serve_cmd =
        ~doc:"Run the resident evaluation daemon: accept JSONL requests \
              (eval/run/sample/lint/certify/stats/shutdown) on a Unix-domain \
              socket, served by a bounded pool of $(b,--conns) worker \
-             domains over shared memo-cached engines. Result documents \
-             match the one-shot CLI's --format json output byte-for-byte \
-             for any --jobs/--conns. Overload is shed with a structured \
-             envelope; shutdown (request or SIGTERM/SIGINT) drains \
-             gracefully. Pair with $(b,predlab query).")
+             domains over shared memo-cached engines. An engine's memo \
+             holds at most one cell per (state, input) of its workload's \
+             pinned grid, which $(b,eval) addresses by index. Result \
+             documents match the one-shot CLI's --format json output \
+             byte-for-byte for any --jobs/--conns. Overload is shed with a \
+             structured envelope; shutdown (request or SIGTERM/SIGINT) \
+             drains gracefully. Pair with $(b,predlab query).")
     Term.(const serve $ socket_arg $ jobs_arg $ deadline_arg
-          $ cache_bound_arg $ conns_arg $ queue_arg $ idle_arg $ drain_arg
-          $ max_frame_arg)
+          $ conns_arg $ queue_arg $ idle_arg $ drain_arg $ max_frame_arg)
 
 let query_cmd =
   let connect_timeout_arg =

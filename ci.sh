@@ -145,6 +145,19 @@ fi
 # A resumed report, whose records partly come from the journal, must
 # compare as cleanly against the v1 baseline as the `stats` report above.
 dune exec bin/predlab.exe -- compare BENCH_0.json _build/resumed.json --tolerance 400
+# An --out path that cannot be written is a usage error (exit 2, the flag
+# named), not an uncaught exception, and the failed write leaves no temp
+# file behind.
+mkdir -p _build/ci-out-dir
+rm -f _build/ci-out-dir.tmp _build/ci-out.err
+set +e
+dune exec bin/predlab.exe -- all --jobs 2 --out _build/ci-out-dir \
+  2> _build/ci-out.err
+status=$?
+set -e
+test "$status" -eq 2
+grep -q -- '--out' _build/ci-out.err
+test ! -e _build/ci-out-dir.tmp
 # Chaos gate: a seeded fault campaign across the whole registry must degrade
 # gracefully (every failure classified, retries recover transients) or the
 # supervisor has regressed.

@@ -63,7 +63,3 @@ val certify : machine -> Isa.Workload.t -> certificate
     leaks and no state channels (then [spread_ub = 0] by construction:
     the filtered walks charge no sites at all). *)
 
-val machine_leaks :
-  machine -> Dataflow.Taint.result -> Dataflow.Taint.leak list
-(** The machine-relevant subset of {!Dataflow.Taint.leaks}: [Address]
-    leaks are dropped unless the machine has cached data memory. *)

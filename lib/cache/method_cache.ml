@@ -14,6 +14,7 @@ let make config =
     invalid_arg "Method_cache.make: geometry must be positive";
   { config; resident = [] }
 
+(* Number of blocks a method of [size] instructions occupies. *)
 let blocks_for config size = (size + config.block_size - 1) / config.block_size
 
 let occupancy t = Prelude.Listx.sum (List.map snd t.resident)

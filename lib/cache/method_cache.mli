@@ -13,9 +13,6 @@ type t
 val make : config -> t
 (** @raise Invalid_argument on non-positive geometry. *)
 
-val blocks_for : config -> int -> int
-(** Number of blocks a method of the given instruction count occupies. *)
-
 type fit = { hit : bool; loaded_blocks : int; evicted : string list }
 
 val request : t -> name:string -> size:int -> fit * t

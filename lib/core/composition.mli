@@ -28,8 +28,6 @@ type component = {
 val component : label:string -> bcet:int -> wcet:int -> component
 (** @raise Invalid_argument unless [0 < bcet <= wcet]. *)
 
-val pr_of_component : component -> Prelude.Ratio.t
-
 val sequential_pr : component list -> Prelude.Ratio.t
 (** Predictability of the sequential composition, from component bounds.
     @raise Invalid_argument on the empty list. *)

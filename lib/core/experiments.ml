@@ -59,13 +59,13 @@ let run id =
 type supervision = {
   deadline_s : float option;
   retries : int;
-  backoff_s : float;
 }
 
-let default_supervision = { deadline_s = None; retries = 0; backoff_s = 0.05 }
+let default_supervision = { deadline_s = None; retries = 0 }
 
 (* Bounded exponential backoff: attempt k sleeps backoff_s * 2^(k-1), never
-   more than this cap — a crashing experiment must not stall the batch. *)
+   more than the cap — a crashing experiment must not stall the batch. *)
+let backoff_s = 0.05
 let backoff_cap_s = 1.0
 
 type supervised = {
@@ -177,7 +177,7 @@ let supervise ~supervision ~writer (id, title, runner) =
            transient fault it was waiting out. *)
         Prelude.Mono.sleep
           (Float.min backoff_cap_s
-             (supervision.backoff_s *. (2. ** float_of_int (n - 1))));
+             (backoff_s *. (2. ** float_of_int (n - 1))));
         go (n + 1)
       end
       else
@@ -197,8 +197,6 @@ let run_supervised ?jobs ?(supervision = default_supervision) ?journal
     ?(resume = false) ?(entries = all) () =
   if supervision.retries < 0 then
     invalid_arg "Experiments.run_supervised: retries must be >= 0";
-  if supervision.backoff_s < 0. then
-    invalid_arg "Experiments.run_supervised: backoff must be >= 0";
   (match supervision.deadline_s with
    | Some d when d <= 0. ->
      invalid_arg "Experiments.run_supervised: deadline must be > 0"

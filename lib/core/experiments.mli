@@ -24,7 +24,8 @@ val run : string -> Report.outcome
     uncertainty: a raising, hanging or injected-fault experiment is
     isolated to its own registry slot, classified
     ({!Report.Crashed}/{!Report.Timed_out}), optionally retried with
-    bounded backoff, journaled for crash-safe resume — and the other
+    bounded backoff (50 ms base, doubled per retry, capped at 1 s),
+    journaled for crash-safe resume — and the other
     experiments always run to a verdict, in registry order. *)
 
 type supervision = {
@@ -32,13 +33,10 @@ type supervision = {
       (** per-attempt cooperative budget ({!Prelude.Parallel.with_deadline});
           [None] = unlimited *)
   retries : int;  (** extra attempts after a crash/overrun; [0] = none *)
-  backoff_s : float;
-      (** base sleep before attempt [k+1], doubled per retry, capped at
-          1 s *)
 }
 
 val default_supervision : supervision
-(** No deadline, no retries, 50 ms base backoff. *)
+(** No deadline, no retries. *)
 
 type supervised = {
   s_id : string;
@@ -68,7 +66,7 @@ val run_supervised :
     [~resume:true] (requires [~journal]) ids whose last journal line is
     [Completed] are not re-run but decoded from that line
     ([s_resumed = true]). Version 1 lines decode to the same records.
-    @raise Invalid_argument on a negative retry/backoff, a non-positive
+    @raise Invalid_argument on a negative retry count, a non-positive
     deadline, [resume] without [journal], or an unreadable journal. *)
 
 val supervised_failures : supervised list -> supervised list

@@ -48,14 +48,21 @@ let fsync_dir dir =
    fsync, rename over the destination, parent-directory fsync. A crash at
    any point leaves either the complete old document or the complete new
    one — and once [write_atomic] returns, the new one survives power
-   loss, not just process death. *)
+   loss, not just process death. A write or rename that raises removes
+   the temp file before re-raising, so a failed write leaves nothing
+   behind. *)
 let write_atomic path contents =
   let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc contents;
-      Out_channel.flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Unix.rename tmp path;
+  (try
+     Out_channel.with_open_bin tmp (fun oc ->
+         Out_channel.output_string oc contents;
+         Out_channel.flush oc;
+         Unix.fsync (Unix.descr_of_out_channel oc));
+     Unix.rename tmp path
+   with exn ->
+     let bt = Printexc.get_raw_backtrace () in
+     (try Sys.remove tmp with Sys_error _ -> ());
+     Printexc.raise_with_backtrace exn bt);
   fsync_dir (Filename.dirname path)
 
 (* Replay through the bounded line reader rather than slurping the file:

@@ -48,8 +48,9 @@ val write_atomic : string -> string -> unit
     of the parent directory (without which a crash shortly after the
     rename can roll it back, losing the new document even though the
     rename "succeeded"). The [--out] report path uses it. Raises
-    [Sys_error]/[Unix.Unix_error] if the write or rename fails; the
-    directory fsync itself is best-effort. *)
+    [Sys_error]/[Unix.Unix_error] if the write or rename fails, after
+    removing the temp file, so [path] and its directory are as they
+    were; the directory fsync itself is best-effort. *)
 
 val load :
   string -> (Prelude.Json.t -> ('a, string) Stdlib.result) ->

@@ -261,7 +261,7 @@ let branch_edges cfg env' pc cmp ra rb target =
   in
   taken @ fallthrough
 
-let analyze ?widen_delay ?narrow_passes program =
+let analyze program =
   let cfg = Cfg.build program in
   let transfer block env =
     let env' = block_out cfg env block in
@@ -272,9 +272,7 @@ let analyze ?widen_delay ?narrow_passes program =
     | _, _ -> List.map (fun succ -> (succ, env')) block.Cfg.succs
   in
   let init = Array.make Isa.Reg.count top in
-  let in_states =
-    S.solve ?widen_delay ?narrow_passes ~cfg ~init ~transfer ()
-  in
+  let in_states = S.solve ~cfg ~init ~transfer () in
   { cfg; in_states }
 
 let cfg t = t.cfg

@@ -49,8 +49,7 @@ val reg : env -> Isa.Reg.t -> itv
 
 type result
 
-val analyze :
-  ?widen_delay:int -> ?narrow_passes:int -> Isa.Program.t -> result
+val analyze : Isa.Program.t -> result
 
 val cfg : result -> Cfg.t
 

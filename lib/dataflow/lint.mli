@@ -55,7 +55,6 @@ val finding_string : finding -> string
 val render : finding list -> string
 (** One line per finding; empty string for no findings. *)
 
-val finding_to_json : finding -> Prelude.Json.t
 val to_json : name:string -> finding list -> Prelude.Json.t
 (** [{"name", "findings", "errors", "warnings"}] for one lint target. *)
 

@@ -13,7 +13,6 @@
     that set read the architectural zero the interpreter initialises
     registers to — legal, but worth flagging ({!maybe_uninitialized}). *)
 
-val mask_of : Isa.Reg.t list -> int
 val mem_mask : Isa.Reg.t -> int -> bool
 
 val written_to_halt : Cfg.t -> int

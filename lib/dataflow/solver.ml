@@ -6,8 +6,13 @@ module type LATTICE = sig
   val widen : t -> t -> t
 end
 
+(* A block's in-state may be updated this many times before further
+   updates widen; after stabilisation, this many descending passes run. *)
+let widen_delay = 4
+let narrow_passes = 2
+
 module Make (L : LATTICE) = struct
-  let solve ?(widen_delay = 4) ?(narrow_passes = 2) ~cfg ~init ~transfer () =
+  let solve ~cfg ~init ~transfer () =
     let blocks = Cfg.blocks cfg in
     let n = Array.length blocks in
     let states : L.t option array = Array.make n None in

@@ -28,8 +28,6 @@ end
 
 module Make (L : LATTICE) : sig
   val solve :
-    ?widen_delay:int ->
-    ?narrow_passes:int ->
     cfg:Cfg.t ->
     init:L.t ->
     transfer:(Cfg.block -> L.t -> (int * L.t) list) ->
@@ -45,12 +43,11 @@ module Make (L : LATTICE) : sig
       must be monotone in [st] for the result to be a sound
       overapproximation.
 
-      [widen_delay] (default 4): number of times a block's in-state may
-      be updated before further updates go through {!LATTICE.widen}.
-      [narrow_passes] (default 2): descending recomputations applied
-      after stabilisation; sound for monotone transfers because every
-      iterate of a descending Kleene sequence started at a post-fixpoint
-      still overapproximates the least fixpoint.
+      A block's in-state may be updated 4 times before further updates
+      go through {!LATTICE.widen}. After stabilisation 2 descending
+      recomputations run; they are sound for monotone transfers because
+      every iterate of a descending Kleene sequence started at a
+      post-fixpoint still overapproximates the least fixpoint.
 
       The returned array is indexed by block id; [None] means the block
       is unreachable under the analysis. *)

@@ -3,39 +3,18 @@ type level_replay =
   | Lpure of Pipeline.Mem_system.level
   | Lcached of { rep : Cache.Set_assoc.replay; hit : int; miss : int }
 
-(* The memo table, optionally size-bounded for resident use (the serve
-   daemon): [order] remembers insertion order and the oldest entries are
-   evicted first once [bound] is exceeded. FIFO rather than LRU on
-   purpose — eviction happens under the engine mutex on the insert path,
-   and promoting entries on every hit would turn the cheap lookup into a
-   queue splice. Unbounded engines skip the queue entirely. *)
-type memo_table = {
-  cells : (string, int) Hashtbl.t;
-  order : string Queue.t;
-  bound : int option;
-}
-
 type t = {
   program : Isa.Program.t;
   digest : int;
-  memo : memo_table option;
+  memo : (string, int) Hashtbl.t option;
   traces : (string, Trace.compiled) Hashtbl.t;
   mu : Mutex.t;
 }
 
-let create ?(memo = true) ?memo_bound program =
-  (match memo_bound with
-   | Some b when b < 1 ->
-     invalid_arg "Fastpath.Engine.create: memo_bound must be >= 1"
-   | _ -> ());
+let create ?(memo = true) program =
   { program;
     digest = Isa.Program.digest program;
-    memo =
-      (if memo then
-         Some
-           { cells = Hashtbl.create 1024; order = Queue.create ();
-             bound = memo_bound }
-       else None);
+    memo = (if memo then Some (Hashtbl.create 1024) else None);
     traces = Hashtbl.create 64;
     mu = Mutex.create () }
 
@@ -132,19 +111,7 @@ let run_cell (st : Pipeline.Inorder.state) (tr : Trace.compiled) =
 let memo_size t =
   match t.memo with
   | None -> 0
-  | Some m -> with_lock t (fun () -> Hashtbl.length m.cells)
-
-let memo_insert m key v =
-  if not (Hashtbl.mem m.cells key) then begin
-    Hashtbl.replace m.cells key v;
-    match m.bound with
-    | None -> ()
-    | Some bound ->
-      Queue.push key m.order;
-      while Hashtbl.length m.cells > bound do
-        Hashtbl.remove m.cells (Queue.pop m.order)
-      done
-  end
+  | Some m -> with_lock t (fun () -> Hashtbl.length m)
 
 (* One cell through the memo, looked up on [skey] (the packed state), so a
    hit never builds the replay. *)
@@ -153,14 +120,14 @@ let cell t ~skey st tr =
   | None -> run_cell st tr
   | Some memo -> (
       let key = skey ^ "#" ^ tr.Trace.key in
-      match with_lock t (fun () -> Hashtbl.find_opt memo.cells key) with
+      match with_lock t (fun () -> Hashtbl.find_opt memo key) with
       | Some v ->
         Prelude.Instrument.add_memo_hits 1;
         v
       | None ->
         Prelude.Instrument.add_memo_misses 1;
         let v = run_cell st tr in
-        with_lock t (fun () -> memo_insert memo key v);
+        with_lock t (fun () -> Hashtbl.replace memo key v);
         v)
 
 (* The callers' arrays are the intern table: a state's key and an input's

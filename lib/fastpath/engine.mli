@@ -23,15 +23,14 @@
 
 type t
 
-val create : ?memo:bool -> ?memo_bound:int -> Isa.Program.t -> t
+val create : ?memo:bool -> Isa.Program.t -> t
 (** [memo] defaults to [true]; [create ~memo:false] replays every cell.
-    [memo_bound] (default: unbounded) caps the memo table at that many
-    cells, evicting the oldest-inserted entries first — the resident-
-    daemon configuration, where an unbounded cache is a slow memory leak.
-    Eviction only ever costs extra replays, never wrong values. The engine
-    holds the program, the memo table and one compiled trace per distinct
-    input it has seen.
-    @raise Invalid_argument on [memo_bound < 1]. *)
+    The engine holds the program, the memo table and one compiled trace
+    per distinct input it has seen. Neither table has a cap: both are
+    bounded by the states and inputs the engine is given, so an engine
+    evaluated over a pinned uncertainty set (the serve daemon's, which
+    addresses cells by range-checked index) holds at most one memo cell
+    per distinct (state, input) pair of that set. *)
 
 val memo_size : t -> int
 (** Memoised cells currently held (0 when [memo] is off). *)

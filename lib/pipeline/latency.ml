@@ -1,3 +1,5 @@
+(* Iterative multiply/divide: the cycle count grows with the magnitude of
+   the second operand. *)
 let mul_latency operand =
   let magnitude = abs operand in
   if magnitude < 16 then 2 else if magnitude < 256 then 4 else 6

@@ -4,14 +4,6 @@
     depends on the operand magnitude) are one of the variability sources the
     Whitham virtual-trace design eliminates by forcing worst-case timing. *)
 
-val mul_latency : int -> int
-(** Latency of a multiply by the given second operand. *)
-
-val div_latency : int -> int
-
-val mul_latency_max : int
-val div_latency_max : int
-
 val base : operand:int -> Isa.Instr.t -> int
 (** Execution-stage latency of an instruction (excluding fetch, memory and
     branch-resolution penalties). [operand] feeds the variable-latency

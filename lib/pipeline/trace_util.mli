@@ -5,10 +5,6 @@ val branch_events :
 (** The conditional-branch sub-trace, with backward/forward direction
     resolved against the program layout. *)
 
-val is_boundary : Isa.Exec.event -> bool
-(** Whether this dynamic instruction ends a basic block (any control
-    transfer). *)
-
 val block_signature : Isa.Exec.outcome -> int list
 (** Dynamic basic-block lengths, in order — a convenient fingerprint of the
     path taken. *)

@@ -52,11 +52,13 @@ let total t = t.total
 let min_sample t = t.lo
 let max_sample t = t.hi
 
-let render ?(width = 40) ?(markers = []) t =
+let bar_width = 40
+
+let render ?(markers = []) t =
   let buf = Buffer.create 256 in
   let peak = Array.fold_left Stdlib.max 1 t.counts in
   let bar count =
-    let len = count * width / peak in
+    let len = count * bar_width / peak in
     (* Integer truncation draws nothing for small-but-occupied bins next
        to a tall peak; an occupied bucket must never render as empty, so
        floor at one '#' for any nonzero count. *)
@@ -66,7 +68,8 @@ let render ?(width = 40) ?(markers = []) t =
   List.iter
     (fun (lo, hi, count) ->
        Buffer.add_string buf
-         (Printf.sprintf "%6d..%6d | %-*s %d\n" lo hi width (bar count) count))
+         (Printf.sprintf "%6d..%6d | %-*s %d\n" lo hi bar_width (bar count)
+            count))
     (bins t);
   List.iter
     (fun (name, x) ->

@@ -22,8 +22,8 @@ val total : t -> int
 val min_sample : t -> int
 val max_sample : t -> int
 
-val render : ?width:int -> ?markers:(string * int) list -> t -> string
-(** ASCII rendering, one bin per line, bars scaled to [width] (default 40).
+val render : ?markers:(string * int) list -> t -> string
+(** ASCII rendering, one bin per line, bars scaled to 40 characters.
     A nonzero bin always draws at least one ['#'], even when proportional
     scaling would truncate it to nothing next to a tall peak — occupied
     buckets are never hidden. [markers] annotate specific x-values (e.g.

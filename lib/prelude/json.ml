@@ -9,6 +9,7 @@ type t =
 
 (* --- Emitter ----------------------------------------------------------- *)
 
+(* The JSON string literal for [s], including the surrounding quotes. *)
 let escape_string s =
   let buf = Buffer.create (String.length s + 2) in
   Buffer.add_char buf '"';

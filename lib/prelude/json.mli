@@ -38,10 +38,6 @@ val to_string_pretty : t -> string
 (** Two-space-indented rendering, ending in a newline — the format written
     to [BENCH_*.json] trajectory files so diffs stay reviewable. *)
 
-val escape_string : string -> string
-(** [escape_string s] is the JSON string literal for [s], including the
-    surrounding quotes. *)
-
 val float_string : float -> string
 (** The emitter's float rendering (no surrounding structure): shortest of
     the fixed precisions that reprints stably; always contains a [.] or an

@@ -9,6 +9,7 @@ type method_ =
   | Bootstrap
   | Degenerate
 
+(* The wire names. *)
 let method_string = function
   | Normal -> "normal"
   | Bootstrap -> "bootstrap"
@@ -64,6 +65,8 @@ let normal_quantile p =
           *. q +. c.(5))
        /. ((((d.(0) *. q +. d.(1)) *. q +. d.(2)) *. q +. d.(3)) *. q +. 1.))
 
+(* Two-sided z-value: [normal_quantile ((1 + c) / 2)]; raises
+   [Invalid_argument] unless [0 < c < 1]. *)
 let z_of_confidence confidence =
   if
     Float.is_nan confidence || confidence <= 0. || confidence >= 1.

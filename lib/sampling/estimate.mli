@@ -30,9 +30,6 @@ type method_ =
       (** no spread information (single sample or zero resamples): the
           interval collapses to the point estimate *)
 
-val method_string : method_ -> string
-(** ["normal"] / ["bootstrap"] / ["degenerate"] — the wire names. *)
-
 type t = {
   value : float;
   ci : ci;
@@ -43,10 +40,6 @@ type t = {
 val normal_quantile : float -> float
 (** Standard normal inverse CDF (Acklam's rational approximation,
     ~1.15e-9 absolute error). @raise Invalid_argument outside (0, 1). *)
-
-val z_of_confidence : float -> float
-(** Two-sided z-value: [normal_quantile ((1 + c) / 2)].
-    @raise Invalid_argument unless [0 < c < 1]. *)
 
 val degenerate : confidence:float -> n:int -> float -> t
 

@@ -84,8 +84,6 @@ val stratified_estimate :
     resamples within every stratum (in stratum order) and never across
     them. @raise Invalid_argument on negative [resamples]. *)
 
-val spec_to_json : spec -> Prelude.Json.t
-
 val fields : result -> (string * Prelude.Json.t) list
 (** One analysis as object fields, for splicing into a report row:
     dimensions, seed, spec, and one {!Estimate.to_json} object

@@ -7,7 +7,7 @@ type job = {
   mutable completion : int option;
 }
 
-let responses ?(strict_deadlines = true) tasks scenario =
+let responses tasks scenario =
   let horizon = Task.hyperperiod tasks in
   let job_counter = Hashtbl.create 8 in
   let jobs =
@@ -43,7 +43,7 @@ let responses ?(strict_deadlines = true) tasks scenario =
        job.remaining <- job.remaining - 1;
        if job.remaining = 0 then begin
          job.completion <- Some (!t + 1);
-         if strict_deadlines && !t + 1 > job.release + job.task.Task.period then
+         if !t + 1 > job.release + job.task.Task.period then
            raise
              (Deadline_miss
                 (Printf.sprintf "job of %S released at %d finished at %d"

@@ -6,9 +6,6 @@
 
 exception Deadline_miss of string
 
-val responses :
-  ?strict_deadlines:bool -> Task.t list -> Task.scenario ->
-  (string * int list) list
+val responses : Task.t list -> Task.scenario -> (string * int list) list
 (** Per task: response times of its jobs in one hyperperiod under the given
-    scenario. @raise Deadline_miss when a job overruns its period and
-    [strict_deadlines] is true (default). *)
+    scenario. @raise Deadline_miss when a job overruns its period. *)

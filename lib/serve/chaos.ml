@@ -119,8 +119,7 @@ let edge_idle_s = 0.4
 let edge_max_frame = 2048
 
 let edge_config socket =
-  { Daemon.socket; jobs = 1; deadline_s = None;
-    memo_bound = Daemon.default_memo_bound; conns = 4; queue = 8;
+  { Daemon.socket; jobs = 1; deadline_s = None; conns = 4; queue = 8;
     idle_s = Some edge_idle_s; drain_s = 2.; max_frame = edge_max_frame }
 
 let torn_frame socket =
@@ -343,8 +342,7 @@ let backpressure_phase () =
   let shed_seen = ref (-1) in
   let violations =
     with_daemon
-      { Daemon.socket; jobs = 1; deadline_s = None;
-        memo_bound = Daemon.default_memo_bound; conns = 1; queue = 0;
+      { Daemon.socket; jobs = 1; deadline_s = None; conns = 1; queue = 0;
         idle_s = Some 10.; drain_s = 2.;
         max_frame = Daemon.default_max_frame }
       (fun () ->
@@ -425,8 +423,7 @@ let fault_phase ~plan () =
   let ok = ref 0 in
   let violations =
     with_daemon
-      { Daemon.socket; jobs = 1; deadline_s = None;
-        memo_bound = Daemon.default_memo_bound; conns = 2; queue = 4;
+      { Daemon.socket; jobs = 1; deadline_s = None; conns = 2; queue = 4;
         idle_s = Some 2.; drain_s = 2.;
         max_frame = Daemon.default_max_frame }
       (fun () ->

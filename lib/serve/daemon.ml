@@ -6,7 +6,6 @@ type config = {
   socket : string;
   jobs : int;
   deadline_s : float option;
-  memo_bound : int;
   conns : int;
   queue : int;
   idle_s : float option;
@@ -14,7 +13,6 @@ type config = {
   max_frame : int;
 }
 
-let default_memo_bound = 65536
 let default_conns = 4
 let default_queue = 16
 let default_idle_s = Some 30.
@@ -24,9 +22,11 @@ let default_max_frame = Lineio.default_max_line
 exception Busy of string
 
 (* One resident engine per workload: the engine owns the compiled traces
-   and the bounded T_p memo; the arrays pin the standard uncertainty sets
-   so eval requests address cells by index, through one grid over them
-   that packs each state and input once. *)
+   and the T_p memo; the arrays pin the standard uncertainty sets so eval
+   requests address cells by range-checked index, through one grid over
+   them that packs each state and input once. Those indices are all a
+   peer chooses, so the memo never holds more than states x inputs
+   cells. *)
 type entry = {
   e_engine : Fastpath.Engine.t;
   e_states : Pipeline.Inorder.state array;
@@ -82,10 +82,7 @@ let entry_for t name =
   let build () =
     let w = Ops.workload name () in
     let program, _ = Isa.Workload.program w in
-    let engine =
-      Fastpath.Engine.create ~memo:true ~memo_bound:t.config.memo_bound
-        program
-    in
+    let engine = Fastpath.Engine.create program in
     let states =
       Array.of_list (Predictability.Harness.inorder_states program w)
     in
@@ -179,7 +176,7 @@ let handle_stats t =
   Protocol.ok ~op:"stats"
     (Json.Obj
        [ ("schema", Json.String "predlab/serve-stats");
-         ("version", Json.Int 2);
+         ("version", Json.Int 3);
          ("uptime_s", Json.Float (Prelude.Mono.now () -. t.started));
          ("jobs", Json.Int t.config.jobs);
          ("conns", Json.Int t.config.conns);
@@ -199,7 +196,6 @@ let handle_stats t =
          ("evals", Json.Int (Atomic.get t.c_evals));
          ("cells", Json.Int (Atomic.get t.c_cells));
          ("memo_cells", Json.Int memo_cells);
-         ("memo_bound", Json.Int t.config.memo_bound);
          ("engines", Json.List engines) ])
 
 let handle_shutdown t =
@@ -510,8 +506,6 @@ let listen config =
 let validate config =
   if config.jobs < 1 then
     invalid_arg "Serve.Daemon: jobs must be >= 1";
-  if config.memo_bound < 1 then
-    invalid_arg "Serve.Daemon: memo_bound must be >= 1";
   if config.conns < 1 then
     invalid_arg "Serve.Daemon: conns must be >= 1";
   if config.queue < 0 then

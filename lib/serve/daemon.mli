@@ -9,10 +9,13 @@
     {!Protocol.overloaded} envelope instead of queueing without bound.
     What makes the daemon pay off is residency — the per-workload
     fast-path engines ({!Fastpath.Engine}), their compiled traces and
-    {e size-bounded} [T_p(q,i)] memo tables persist across requests and
-    connections and are shared by all workers (each engine
-    is internally mutex-guarded; the engine table and every daemon
-    counter are likewise guarded or atomic).
+    [T_p(q,i)] memo tables persist across requests and connections and
+    are shared by all workers (each engine is internally mutex-guarded;
+    the engine table and every daemon counter are likewise guarded or
+    atomic). The memo tables are bounded by the pinned uncertainty sets:
+    an [eval] addresses one cell of its workload's [states x inputs]
+    grid by index, and an index out of range is refused, so an engine
+    never holds more memo cells than its grid has.
 
     Connection edges are hardened ({!Prelude.Lineio}): request frames
     are read through a [max_frame]-bounded reader — an oversized frame
@@ -38,7 +41,8 @@
     [served], [errors], [in_flight], [active_connections],
     [queue_depth], [shed], [reaped_idle], [oversized_frames],
     [fd_errors], [draining], the memo and evaluation counters and one
-    record per resident engine.
+    record per resident engine ([memo_cells], [states], [inputs]), under
+    schema [predlab/serve-stats] version 3.
     [fd_errors] is {!Prelude.Lineio.bad_closes}: closes, anywhere in the
     process, that found their descriptor already closed. It is 0 unless
     something closed a descriptor twice.
@@ -58,9 +62,6 @@ type config = {
   deadline_s : float option;
       (** default per-request cooperative budget; a request's ["deadline"]
           field overrides it *)
-  memo_bound : int;
-      (** per-workload cap on memoised [T_p] cells (oldest evicted
-          first) — resident processes must not grow without bound *)
   conns : int;  (** connection worker domains: concurrent connections served *)
   queue : int;
       (** pending-connection queue bound; [0] = shed whenever every
@@ -73,9 +74,6 @@ type config = {
           connections before force-resetting them *)
   max_frame : int;  (** byte cap on a single request line *)
 }
-
-val default_memo_bound : int
-(** 65536 cells per workload engine. *)
 
 val default_conns : int
 (** 4 connection workers. *)
@@ -126,6 +124,6 @@ val run : ?on_ready:(unit -> unit) -> config -> unit
     the socket is listening and the workers run, before the first
     accept: [predlab serve] prints its "listening" line there.
     @raise Busy, [Unix.Unix_error] or [Sys_error] on setup failure;
-    @raise Invalid_argument on non-positive [jobs]/[memo_bound]/[conns]/
-    [max_frame], negative [queue], or non-positive
+    @raise Invalid_argument on non-positive [jobs]/[conns]/[max_frame],
+    negative [queue], or non-positive
     [deadline_s]/[idle_s]/[drain_s]. *)

@@ -140,9 +140,7 @@ let run =
     document =
       (fun ~jobs ~deadline_s -> function
          | Protocol.Run { id; retries } ->
-           let supervision =
-             { Experiments.default_supervision with deadline_s; retries }
-           in
+           let supervision = { Experiments.deadline_s; retries } in
            snd (run_supervised ~jobs ~supervision [ experiment id ])
          | _ -> mismatch "run");
     exit_code = run_exit;

@@ -407,70 +407,6 @@ let test_grid_memo_counts_match_time () =
        Alcotest.(check int) (name ^ ": memo misses") misses_t misses_g)
     Isa.Workload.registry
 
-(* The serve daemon runs with a bounded memo; the bound must cap occupancy
-   (FIFO eviction) without ever changing an answer. *)
-let test_memo_bound_caps_occupancy () =
-  let w = Isa.Workload.find "fir" in
-  let program, _ = Isa.Workload.program w in
-  let states = Predictability.Harness.inorder_states program w in
-  let inputs = take 8 w.Isa.Workload.inputs in
-  let bound = 4 in
-  let bounded = Fastpath.Engine.create ~memo:true ~memo_bound:bound program in
-  let unbounded = Fastpath.Engine.create ~memo:true program in
-  List.iter
-    (fun q ->
-       List.iter
-         (fun i ->
-            Alcotest.(check int) "bounded answer agrees"
-              (Fastpath.Engine.time unbounded q i)
-              (Fastpath.Engine.time bounded q i);
-            (* Eviction must never overshoot the cap, even transiently. *)
-            if Fastpath.Engine.memo_size bounded > bound then
-              Alcotest.failf "memo size %d exceeds bound %d"
-                (Fastpath.Engine.memo_size bounded) bound)
-         inputs)
-    states;
-  let total_cells = List.length states * List.length inputs in
-  Alcotest.(check bool) "workload large enough to force eviction" true
-    (total_cells > bound);
-  Alcotest.(check bool) "unbounded memo kept everything" true
-    (Fastpath.Engine.memo_size unbounded > bound)
-
-let test_memo_bound_evicts_fifo () =
-  let w = Isa.Workload.find "fir" in
-  let program, _ = Isa.Workload.program w in
-  let states = Predictability.Harness.inorder_states program w in
-  let inputs = take 4 w.Isa.Workload.inputs in
-  let q = List.hd states in
-  let eng = Fastpath.Engine.create ~memo:true ~memo_bound:2 program in
-  let count f =
-    let before = Prelude.Instrument.snapshot () in
-    f ();
-    let after = Prelude.Instrument.snapshot () in
-    (after.Prelude.Instrument.memo_hits - before.Prelude.Instrument.memo_hits,
-     after.Prelude.Instrument.memo_misses
-     - before.Prelude.Instrument.memo_misses)
-  in
-  let i0 = List.nth inputs 0 and i1 = List.nth inputs 1 in
-  let i2 = List.nth inputs 2 in
-  ignore (Fastpath.Engine.time eng q i0);
-  ignore (Fastpath.Engine.time eng q i1);
-  let hits, _ = count (fun () -> ignore (Fastpath.Engine.time eng q i1)) in
-  Alcotest.(check int) "resident cell hits" 1 hits;
-  (* A third distinct cell evicts the oldest (i0), not the latest. *)
-  ignore (Fastpath.Engine.time eng q i2);
-  let hits_i1, _ = count (fun () -> ignore (Fastpath.Engine.time eng q i1)) in
-  let _, misses_i0 = count (fun () -> ignore (Fastpath.Engine.time eng q i0)) in
-  Alcotest.(check int) "younger cell survived eviction" 1 hits_i1;
-  Alcotest.(check int) "oldest cell was evicted" 1 misses_i0
-
-let test_memo_bound_validated () =
-  let w = Isa.Workload.find "fir" in
-  let program, _ = Isa.Workload.program w in
-  Alcotest.check_raises "bound must be positive"
-    (Invalid_argument "Fastpath.Engine.create: memo_bound must be >= 1")
-    (fun () -> ignore (Fastpath.Engine.create ~memo_bound:0 program))
-
 (* --- Scratch lifetime ---------------------------------------------------- *)
 
 (* A resident process (the CLI's main domain, a daemon worker) creates
@@ -839,11 +775,6 @@ let () =
       ("memo",
        [ Alcotest.test_case "hit/miss counting" `Quick
            test_memo_hit_miss_counting;
-         Alcotest.test_case "bound caps occupancy, answers unchanged" `Quick
-           test_memo_bound_caps_occupancy;
-         Alcotest.test_case "bound evicts FIFO" `Quick
-           test_memo_bound_evicts_fifo;
-         Alcotest.test_case "bound validated" `Quick test_memo_bound_validated;
          Alcotest.test_case "grid counts the hits and misses of time" `Quick
            test_grid_memo_counts_match_time;
          QCheck_alcotest.to_alcotest prop_memoized_agrees_with_unmemoized ]);

@@ -233,7 +233,7 @@ let test_render_never_hides_nonzero_bin () =
      would truncate the single-sample bar to zero characters. *)
   let samples = List.init 1000 (fun _ -> 0) @ [ 100 ] in
   let h = Prelude.Histogram.of_samples ~bins:2 samples in
-  let rendered = Prelude.Histogram.render ~width:40 h in
+  let rendered = Prelude.Histogram.render h in
   let bars =
     String.split_on_char '\n' rendered
     |> List.filter (fun line -> String.contains line '#')

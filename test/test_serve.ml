@@ -22,20 +22,18 @@ let temp_socket =
    failing test cannot leak a listener into the next one, and fails the
    test if any close in the session found its descriptor already
    closed. *)
-let daemon_config ?(jobs = 2) ?deadline_s
-    ?(memo_bound = Daemon.default_memo_bound)
-    ?(conns = 2) ?(queue = Daemon.default_queue)
-    ?(idle_s = Daemon.default_idle_s) ?(drain_s = 2.)
-    ?(max_frame = Daemon.default_max_frame) socket =
-  { Daemon.socket; jobs; deadline_s; memo_bound; conns; queue; idle_s;
-    drain_s; max_frame }
+let daemon_config ?(jobs = 2) ?deadline_s ?(conns = 2)
+    ?(queue = Daemon.default_queue) ?(idle_s = Daemon.default_idle_s)
+    ?(drain_s = 2.) ?(max_frame = Daemon.default_max_frame) socket =
+  { Daemon.socket; jobs; deadline_s; conns; queue; idle_s; drain_s;
+    max_frame }
 
-let with_daemon ?jobs ?deadline_s ?memo_bound ?conns ?queue ?idle_s
-    ?drain_s ?max_frame ?socket f =
+let with_daemon ?jobs ?deadline_s ?conns ?queue ?idle_s ?drain_s ?max_frame
+    ?socket f =
   let socket = match socket with Some s -> s | None -> temp_socket () in
   let config =
-    daemon_config ?jobs ?deadline_s ?memo_bound ?conns ?queue ?idle_s
-      ?drain_s ?max_frame socket
+    daemon_config ?jobs ?deadline_s ?conns ?queue ?idle_s ?drain_s
+      ?max_frame socket
   in
   let bad_closes = Prelude.Lineio.bad_closes () in
   let daemon = Daemon.start config in
@@ -258,27 +256,67 @@ let test_client_call () =
       (String.starts_with ~prefix:missing message)
   | Ok _ -> Alcotest.fail "a socket with no daemon answered"
 
+(* The memo answers a repeated cell, and it never outgrows the grid an
+   eval addresses: after one sweep of every (state, input) of clamp the
+   engine holds at most states x inputs cells, and a second sweep hits on
+   every cell and adds none. *)
 let test_memo_hit_on_repeat () =
   with_daemon (fun _socket client ->
-      let eval () =
+      let eval state input =
         result_of
-          (request client
-             (Protocol.Eval { workload = "clamp"; state = 1; input = 2 }))
+          (request client (Protocol.Eval { workload = "clamp"; state; input }))
       in
-      let first = eval () in
-      let second = eval () in
+      let first = eval 1 2 in
+      let second = eval 1 2 in
       Alcotest.(check (pair bool bool)) "miss then hit" (false, true)
         (bool_field "cached" first, bool_field "cached" second);
       Alcotest.(check int) "same answer"
         (int_field "time_cycles" first)
         (int_field "time_cycles" second);
-      let stats = result_of (request client Protocol.Stats) in
+      let clamp_engine () =
+        let stats = result_of (request client Protocol.Stats) in
+        match Json.member "engines" stats with
+        | Some (Json.List [ engine ]) -> (stats, engine)
+        | _ -> Alcotest.failf "expected one engine: %s" (Json.to_string stats)
+      in
+      let _, engine = clamp_engine () in
+      let states = int_field "states" engine
+      and inputs = int_field "inputs" engine in
+      let sweep () =
+        List.concat_map
+          (fun q -> List.init inputs (fun i -> bool_field "cached" (eval q i)))
+          (List.init states Fun.id)
+      in
+      ignore (sweep ());
+      let _, engine = clamp_engine () in
+      let cells = int_field "memo_cells" engine in
+      Alcotest.(check bool)
+        (Printf.sprintf "1 <= %d memo cells <= %d x %d" cells states inputs)
+        true
+        (cells >= 1 && cells <= states * inputs);
+      let cached = sweep () in
+      Alcotest.(check int) "every second-sweep eval is a hit"
+        (states * inputs)
+        (List.length (List.filter Fun.id cached));
+      let stats, engine = clamp_engine () in
+      Alcotest.(check int) "second sweep adds no cell" cells
+        (int_field "memo_cells" engine);
       Alcotest.(check bool) "stats counted the hit" true
         (int_field "memo_hits" stats >= 1);
       Alcotest.(check bool) "stats counted the miss" true
         (int_field "memo_misses" stats >= 1);
-      Alcotest.(check bool) "memo retains the cell" true
-        (int_field "memo_cells" stats >= 1);
+      Alcotest.(check int) "daemon memo is the engine's" cells
+        (int_field "memo_cells" stats);
+      Alcotest.(check int) "stats version" 3 (int_field "version" stats);
+      Alcotest.(check (list string)) "stats fields (version 3)"
+        [ "schema"; "version"; "uptime_s"; "jobs"; "conns"; "queue_bound";
+          "served"; "errors"; "in_flight"; "active_connections";
+          "queue_depth"; "shed"; "reaped_idle"; "oversized_frames";
+          "fd_errors"; "draining"; "memo_hits"; "memo_misses"; "evals";
+          "cells"; "memo_cells"; "engines" ]
+        (match stats with
+         | Json.Obj fields -> List.map fst fields
+         | _ -> Alcotest.fail "stats is not an object");
       Alcotest.(check int) "no errors" 0 (int_field "errors" stats))
 
 (* The daemon's certify result must be the exact document the one-shot

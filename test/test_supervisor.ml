@@ -227,8 +227,7 @@ let test_supervised_retry_recovers () =
       let sups =
         Experiments.run_supervised ~jobs:1
           ~supervision:
-            { Experiments.default_supervision with
-              retries = 1; backoff_s = 0.001 }
+            { Experiments.default_supervision with retries = 1 }
           ~entries:[ entry "A"; entry "B" ] ()
       in
       match sups with
@@ -243,8 +242,7 @@ let test_supervised_exhausted_retries () =
        match
          Experiments.run_supervised ~jobs:1
            ~supervision:
-             { Experiments.default_supervision with
-               retries = 2; backoff_s = 0.001 }
+             { Experiments.default_supervision with retries = 2 }
            ~entries:[ entry "A" ] ()
        with
        | [ { Experiments.s_status = Report.Crashed _; s_attempts = 3; _ } ] ->
@@ -539,6 +537,27 @@ let test_journal_v1_lines_resume () =
     Alcotest.(check (array int)) "nothing re-ran" [| 0; 1 |] ran
   | _ -> Alcotest.fail "expected two records"
 
+(* A write that fails takes its temp file with it: [write_atomic] onto an
+   existing directory writes [DIR.tmp], then the rename over [DIR] raises,
+   and neither [DIR.tmp] nor anything inside [DIR] may remain. *)
+let test_write_atomic_failure_cleans_up () =
+  let dir = Filename.temp_file "predlab_out" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+        (try Sys.remove (dir ^ ".tmp") with Sys_error _ -> ());
+        try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () ->
+       (match Journal.write_atomic dir "{}\n" with
+        | () -> Alcotest.fail "write_atomic over a directory returned"
+        | exception (Sys_error _ | Unix.Unix_error _) -> ());
+       Alcotest.(check bool) "no temp file left" false
+         (Sys.file_exists (dir ^ ".tmp"));
+       Alcotest.(check bool) "still a directory" true (Sys.is_directory dir);
+       Alcotest.(check (array string)) "directory unchanged" [||]
+         (Sys.readdir dir))
+
 (* --- Chaos campaigns ----------------------------------------------------- *)
 
 let chaos_entries =
@@ -611,7 +630,9 @@ let () =
          Alcotest.test_case "journal line is the report record" `Quick
            test_journal_line_is_report_record;
          Alcotest.test_case "v1 journal lines still resume" `Quick
-           test_journal_v1_lines_resume ]);
+           test_journal_v1_lines_resume;
+         Alcotest.test_case "write_atomic failure leaves no temp file" `Quick
+           test_write_atomic_failure_cleans_up ]);
       ("chaos",
        [ QCheck_alcotest.to_alcotest prop_chaos_graceful;
          Alcotest.test_case "campaigns arm sites across seeds" `Quick
