@@ -41,6 +41,10 @@ let apply_injections specs =
 let supervision_of ~deadline ~retries =
   { Predictability.Experiments.deadline_s = deadline; retries }
 
+let cannot_write path reason =
+  Printf.eprintf "predlab: cannot write --out %s: %s\n" path reason;
+  exit 2
+
 (* Final reports are written via a temporary file, a rename and a parent-
    directory fsync (Journal.write_atomic), so a crash mid-write can never
    leave a half-document where a previous good report used to be — and a
@@ -51,13 +55,19 @@ let emit ~out contents =
   | None -> print_string contents
   | Some path -> (
       try Predictability.Journal.write_atomic path contents with
-      | Sys_error reason ->
-        Printf.eprintf "predlab: cannot write --out %s: %s\n" path reason;
-        exit 2
+      | Sys_error reason -> cannot_write path reason
       | Unix.Unix_error (err, fn, arg) ->
-        Printf.eprintf "predlab: cannot write --out %s: %s: %s %s\n" path
-          (Unix.error_message err) fn arg;
-        exit 2)
+        cannot_write path
+          (Printf.sprintf "%s: %s %s" (Unix.error_message err) fn arg))
+
+(* Refuse an --out destination before the journal opens or the first
+   experiment runs. [emit] still handles a failed write, since the
+   destination can change while the experiments run. *)
+let check_out = function
+  | None -> ()
+  | Some path -> (
+      try Predictability.Journal.check_writable path
+      with Sys_error reason -> cannot_write path reason)
 
 let render_supervised_text results =
   let buf = Buffer.create 4096 in
@@ -111,6 +121,7 @@ let run_supervised_cli ~jobs ~format ~deadline ~retries ~inject ~journal
     Printf.eprintf "predlab: --resume requires --journal FILE\n";
     exit 2
   end;
+  check_out out;
   let supervision = supervision_of ~deadline ~retries in
   match Serve.Ops.run_supervised ~jobs ~supervision ?journal ~resume entries with
   | exception (Invalid_argument message | Sys_error message) ->

@@ -27,7 +27,7 @@ let () =
   (* 3. Exhaustive evaluation of T_p(q, i). *)
   let matrix =
     Predictability.Quantify.evaluate ~states ~inputs:w.Isa.Workload.inputs
-      ~time:(Predictability.Harness.inorder_time program) ()
+      ~time:(Pipeline.Inorder.time program) ()
   in
   let pr = Predictability.Quantify.pr matrix in
   let sipr = Predictability.Quantify.sipr matrix in

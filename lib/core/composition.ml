@@ -29,7 +29,7 @@ let of_workload ~states (w : Isa.Workload.t) =
   let program, _ = Isa.Workload.program w in
   let matrix =
     Quantify.evaluate ~states ~inputs:w.Isa.Workload.inputs
-      ~time:(Harness.inorder_time program) ()
+      ~time:(Pipeline.Inorder.time program) ()
   in
   { label = w.Isa.Workload.name;
     bcet = Quantify.bcet matrix;

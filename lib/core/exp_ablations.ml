@@ -12,7 +12,7 @@ let unroll_study () =
   let states = Harness.inorder_states program w in
   let matrix =
     Quantify.evaluate ~states ~inputs:w.Isa.Workload.inputs
-      ~time:(Harness.inorder_time program) ()
+      ~time:(Pipeline.Inorder.time program) ()
   in
   let wcet = Quantify.wcet matrix in
   let ub unroll =

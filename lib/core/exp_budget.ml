@@ -34,7 +34,7 @@ let run () =
   in
   let matrix =
     Quantify.evaluate ~states ~inputs:w.Isa.Workload.inputs
-      ~time:(Harness.inorder_time program) ()
+      ~time:(Pipeline.Inorder.time program) ()
   in
   let wcet = Quantify.wcet matrix in
   let config budget =

@@ -19,7 +19,7 @@ let run () =
   in
   let levels =
     Extent.profile ~states ~inputs:w.Isa.Workload.inputs
-      ~time:(Harness.inorder_time program) ~cuts ()
+      ~time:(Pipeline.Inorder.time program) ~cuts ()
   in
   let table =
     Prelude.Table.make

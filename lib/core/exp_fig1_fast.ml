@@ -28,7 +28,7 @@ let measure (name, make) =
   let inputs = Prelude.Listx.take Sampled.input_cap w.Isa.Workload.inputs in
   let exact =
     Quantify.evaluate ~jobs:1 ~states ~inputs
-      ~time:(Harness.inorder_time program) ()
+      ~time:(Pipeline.Inorder.time program) ()
   in
   let fast_matrix ~memo jobs timer_opt =
     let timer =

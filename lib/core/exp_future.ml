@@ -21,7 +21,7 @@ let run () =
   in
   let matrix_a =
     Quantify.evaluate ~states:recommended_states ~inputs:w.Isa.Workload.inputs
-      ~time:(Harness.inorder_time program) ()
+      ~time:(Pipeline.Inorder.time program) ()
   in
   (* Machine B: greedy dual-unit OoO with FIFO caches. *)
   let fifo_config =

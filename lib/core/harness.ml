@@ -45,8 +45,6 @@ let inorder_states ?(predictor = Branchpred.Predictor.static Branchpred.Predicto
        { Pipeline.Inorder.mem = memory_of ~icache ~dcache; predictor })
     icaches dcaches
 
-let inorder_time program state input = Pipeline.Inorder.time program state input
-
 let inorder_timer ?(memo = true) program =
   let eng = Fastpath.Engine.create ~memo program in
   Quantify.Batched { grid = Fastpath.Engine.grid eng }

@@ -27,18 +27,14 @@ val inorder_states :
     [count] warmed cache states (deterministic), all with the given
     predictor. *)
 
-val inorder_time :
-  Isa.Program.t -> Pipeline.Inorder.state -> Isa.Exec.input -> int
-(** [T_p(q, i)] on the in-order machine. *)
-
 val inorder_timer :
   ?memo:bool -> Isa.Program.t ->
   (Pipeline.Inorder.state, Isa.Exec.input) Quantify.timer
 (** The in-order [T_p] as a [Batched] {!Quantify.timer} over a
     {!Fastpath.Engine} (one per call — reuse the timer across evaluations
-    to share its caches), bit-identical to {!inorder_time}, which stays
-    the exact reference. [memo] (default true) enables the engine's [T_p]
-    memo table. *)
+    to share its caches), bit-identical to {!Pipeline.Inorder.time},
+    which stays the exact reference. [memo] (default true) enables the
+    engine's [T_p] memo table. *)
 
 val cached_analysis : unroll:bool -> Analysis.Wcet.config
 (** The static analysis of the cached in-order machine: instruction

@@ -44,6 +44,8 @@ let fsync_dir dir =
       ~finally:(fun () -> Prelude.Lineio.close fd)
       (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
+let temp_of path = path ^ ".tmp"
+
 (* Atomic, durable document write: temp file in the same directory, data
    fsync, rename over the destination, parent-directory fsync. A crash at
    any point leaves either the complete old document or the complete new
@@ -52,7 +54,7 @@ let fsync_dir dir =
    the temp file before re-raising, so a failed write leaves nothing
    behind. *)
 let write_atomic path contents =
-  let tmp = path ^ ".tmp" in
+  let tmp = temp_of path in
   (try
      Out_channel.with_open_bin tmp (fun oc ->
          Out_channel.output_string oc contents;
@@ -64,6 +66,13 @@ let write_atomic path contents =
      (try Sys.remove tmp with Sys_error _ -> ());
      Printexc.raise_with_backtrace exn bt);
   fsync_dir (Filename.dirname path)
+
+let check_writable path =
+  if Sys.file_exists path && Sys.is_directory path then
+    raise (Sys_error (path ^ ": " ^ Unix.error_message Unix.EISDIR));
+  let tmp = temp_of path in
+  Out_channel.with_open_bin tmp ignore;
+  Sys.remove tmp
 
 (* Replay through the bounded line reader rather than slurping the file:
    memory stays O(one line) however large the journal grew, and a single

@@ -52,6 +52,13 @@ val write_atomic : string -> string -> unit
     removing the temp file, so [path] and its directory are as they
     were; the directory fsync itself is best-effort. *)
 
+val check_writable : string -> unit
+(** Raise the [Sys_error] that would stop {!write_atomic} at [path]
+    before it writes anything: [path] is a directory, which the rename
+    cannot replace, or the temp file beside it cannot be created. Leaves
+    no temp file. [predlab all --out] calls it before the journal opens
+    or the first experiment runs. *)
+
 val load :
   string -> (Prelude.Json.t -> ('a, string) Stdlib.result) ->
   ('a list, string) Stdlib.result

@@ -47,10 +47,10 @@ type ('q, 'i) timer =
             sample over the caller's arrays, and called from any number of
             worker domains. *)
     }
-(** A timing function. A [Scalar] timer such as {!Harness.inorder_time} is
-    called per cell and is the exact reference. A [Batched] timer addresses
-    cells by index, so it can derive what it needs from each state and
-    input once per index rather than once per cell:
+(** A timing function. A [Scalar] timer such as {!Pipeline.Inorder.time}
+    is called per cell and is the exact reference. A [Batched] timer
+    addresses cells by index, so it can derive what it needs from each
+    state and input once per index rather than once per cell:
     {!Harness.inorder_timer} builds one over {!Fastpath.Engine.grid}. *)
 
 val inline_cells : int

@@ -25,18 +25,15 @@ let run program st outcome =
       | None -> (0, mem)
     in
     let branch_cost, predictor, mispred =
-      match ev.ins, ev.taken with
-      | Isa.Instr.Br (_, _, _, target), Some taken ->
-        let event =
-          { Branchpred.Predictor.pc = ev.pc;
-            backward = Isa.Program.resolve program target <= ev.pc;
-            taken }
+      match Trace_util.branch_event program ev with
+      | Some event ->
+        let correct =
+          Branchpred.Predictor.predict st.predictor event = event.taken
         in
-        let correct = Branchpred.Predictor.predict st.predictor event = taken in
         let predictor = Branchpred.Predictor.update st.predictor event in
         ((if correct then 0 else Latency.branch_mispredict_penalty),
          predictor, if correct then mispred else mispred + 1)
-      | _, _ -> (0, st.predictor, mispred)
+      | None -> (0, st.predictor, mispred)
     in
     (cycles + fetch_cost + exec_cost + data_cost + branch_cost,
      { mem; predictor },

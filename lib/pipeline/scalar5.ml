@@ -1,11 +1,9 @@
-type state = {
+type state = Inorder.state = {
   mem : Mem_system.t;
   predictor : Branchpred.Predictor.t;
 }
 
-let state ?(mem = Mem_system.perfect)
-    ?(predictor = Branchpred.Predictor.static Branchpred.Predictor.Btfn) () =
-  { mem; predictor }
+let state = Inorder.state
 
 type result = {
   cycles : int;
@@ -83,25 +81,22 @@ let run ?(start_delay = 0) program st outcome =
                 (match ev.ins with Isa.Instr.Ld _ -> true | _ -> false))
            (Isa.Instr.defs ev.ins);
          (* Control flow resolved in EX: redirect the front end. *)
-         (match ev.ins, ev.taken with
-          | Isa.Instr.Br (_, _, _, target), Some taken ->
-            let event =
-              { Branchpred.Predictor.pc = ev.pc;
-                backward = Isa.Program.resolve program target <= ev.pc;
-                taken }
+         (match Trace_util.branch_event program ev, ev.ins with
+          | Some event, _ ->
+            let correct =
+              Branchpred.Predictor.predict !predictor event = event.taken
             in
-            let correct = Branchpred.Predictor.predict !predictor event = taken in
             predictor := Branchpred.Predictor.update !predictor event;
             if not correct then begin
               incr mispredictions;
               flush_barrier := e + occ + Latency.branch_mispredict_penalty - 1;
               stalls := !stalls + Latency.branch_mispredict_penalty
             end
-          | (Isa.Instr.Jmp _ | Isa.Instr.Call _ | Isa.Instr.Ret), _ ->
+          | None, (Isa.Instr.Jmp _ | Isa.Instr.Call _ | Isa.Instr.Ret) ->
             (* Target known in ID: one slot lost. *)
             flush_barrier := e;
             incr stalls
-          | _, _ -> ());
+          | None, _ -> ());
          last_completion := Stdlib.max !last_completion (e + occ + 2))
       trace;
     { cycles = !last_completion;

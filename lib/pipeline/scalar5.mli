@@ -11,14 +11,14 @@
     experiment and the test suite), and the sequential model is a sound
     upper bound on it. *)
 
-type state = {
+type state = Inorder.state = {
   mem : Mem_system.t;
   predictor : Branchpred.Predictor.t;
 }
 
 val state :
   ?mem:Mem_system.t -> ?predictor:Branchpred.Predictor.t -> unit -> state
-(** Defaults: perfect memory, static BTFN prediction. *)
+(** {!Inorder.state}. Defaults: perfect memory, static BTFN prediction. *)
 
 type result = {
   cycles : int;

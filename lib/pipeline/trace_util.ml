@@ -1,13 +1,13 @@
+let branch_event program (ev : Isa.Exec.event) =
+  match ev.ins, ev.taken with
+  | Isa.Instr.Br (_, _, _, target), Some taken ->
+    Some { Branchpred.Predictor.pc = ev.pc;
+           backward = Isa.Program.resolve program target <= ev.pc;
+           taken }
+  | _, _ -> None
+
 let branch_events program outcome =
-  let of_event (ev : Isa.Exec.event) =
-    match ev.ins, ev.taken with
-    | Isa.Instr.Br (_, _, _, target), Some taken ->
-      Some { Branchpred.Predictor.pc = ev.pc;
-             backward = Isa.Program.resolve program target <= ev.pc;
-             taken }
-    | _, _ -> None
-  in
-  List.filter_map of_event (Array.to_list outcome.Isa.Exec.trace)
+  List.filter_map (branch_event program) (Array.to_list outcome.Isa.Exec.trace)
 
 let is_boundary (ev : Isa.Exec.event) = Isa.Instr.is_control ev.ins
 

@@ -208,6 +208,58 @@ let test_interval_neg_wraps =
   wrapped_inside_intervals
     [ Li (r1, min_int); Li (r3, 0); Alu (Sub, r3, r3, r1); Halt ]
 
+(* Straight-line programs over extreme constants: r1..r3 are loaded with
+   Li first, so no operand starts at top (where every transformer answers
+   top), then 2-8 instructions use every alu_op in both forms, Mul, Div
+   and branches to a second Halt. Each transformer must answer an interval
+   holding what Exec computes, wrap-around included. ±2^62 are min_int and
+   max_int on 63-bit ints, so -max_int stands beside them. A case whose
+   concrete divisor is 0 (about one in twenty) is skipped, since Exec
+   raises Stuck on it; max_gen leaves room for those. *)
+let prop_interval_contains_extremes =
+  let open Isa.Instr in
+  let gen =
+    let open QCheck.Gen in
+    let extremes =
+      [ min_int; max_int; -max_int; 1 lsl 50; -(1 lsl 50); 1 lsl 30;
+        -(1 lsl 30); 1; -1; 0 ]
+    in
+    let k = frequency [ (4, oneofl extremes); (1, int) ] in
+    let regs = Isa.Reg.[ r1; r2; r3 ] in
+    let r = oneofl regs in
+    let op = oneofl [ Add; Sub; And; Or; Xor; Shl; Shr; Slt ] in
+    let cmp = oneofl [ Eq; Ne; Lt; Ge ] in
+    let instr =
+      frequency
+        [ (3, map2 (fun rd k -> Li (rd, k)) r k);
+          (3, map3 (fun op rd (a, b) -> Alu (op, rd, a, b)) op r (pair r r));
+          (3, map3 (fun op (rd, a) k -> Alui (op, rd, a, k)) op (pair r r) k);
+          (1, map3 (fun rd a b -> Mul (rd, a, b)) r r r);
+          (1, map3 (fun rd a b -> Div (rd, a, b)) r r r);
+          (1, map3 (fun c a b -> Br (c, a, b, "exit")) cmp r r) ]
+    in
+    map2
+      (fun loads body -> List.map2 (fun rd k -> Li (rd, k)) regs loads @ body)
+      (list_repeat 3 k) (list_size (int_range 2 8) instr)
+  in
+  let print instrs =
+    String.concat "; " (List.map (Format.asprintf "%a" Isa.Instr.pp) instrs)
+  in
+  QCheck.Test.make ~name:"straight-line extremes stay inside their intervals"
+    ~count:10_000 ~max_gen:12_000
+    (QCheck.make ~print ~shrink:QCheck.Shrink.list gen)
+    (fun instrs ->
+       let program =
+         link_main
+           (List.map (fun i -> Isa.Program.Ins i) instrs
+            @ [ Isa.Program.Ins Halt; Isa.Program.Label "exit";
+                Isa.Program.Ins Halt ])
+       in
+       let input = Isa.Exec.input () in
+       match Isa.Exec.run program input with
+       | exception Isa.Exec.Stuck _ -> QCheck.assume_fail ()
+       | _ -> final_env_contains program input)
+
 let test_dead_branch_detected () =
   let open Isa.Instr in
   let r1 = Isa.Reg.r1 and r2 = Isa.Reg.r2 and r3 = Isa.Reg.r3 in
@@ -574,6 +626,7 @@ let () =
            test_interval_add_wraps;
          Alcotest.test_case "negation that wraps" `Quick
            test_interval_neg_wraps;
+         QCheck_alcotest.to_alcotest prop_interval_contains_extremes;
          Alcotest.test_case "dead branch detected" `Quick
            test_dead_branch_detected;
          Alcotest.test_case "no dead branches in workloads" `Quick

@@ -615,7 +615,7 @@ let test_jobs_determinism () =
     (fun (states, inputs) ->
        let exact =
          Predictability.Quantify.evaluate ~jobs:1 ~states ~inputs
-           ~time:(Predictability.Harness.inorder_time program) ()
+           ~time:(Pipeline.Inorder.time program) ()
        in
        let cells = List.length states * List.length inputs in
        List.iter

@@ -539,7 +539,9 @@ let test_journal_v1_lines_resume () =
 
 (* A write that fails takes its temp file with it: [write_atomic] onto an
    existing directory writes [DIR.tmp], then the rename over [DIR] raises,
-   and neither [DIR.tmp] nor anything inside [DIR] may remain. *)
+   and neither [DIR.tmp] nor anything inside [DIR] may remain. Its
+   pre-check, [check_writable], refuses the directory and a missing one,
+   accepts a writable path, and leaves nothing behind either. *)
 let test_write_atomic_failure_cleans_up () =
   let dir = Filename.temp_file "predlab_out" "" in
   Sys.remove dir;
@@ -552,6 +554,13 @@ let test_write_atomic_failure_cleans_up () =
        (match Journal.write_atomic dir "{}\n" with
         | () -> Alcotest.fail "write_atomic over a directory returned"
         | exception (Sys_error _ | Unix.Unix_error _) -> ());
+       List.iter
+         (fun path ->
+            match Journal.check_writable path with
+            | () -> Alcotest.failf "check_writable accepted %s" path
+            | exception Sys_error _ -> ())
+         [ dir; Filename.concat dir "missing/x.json" ];
+       Journal.check_writable (Filename.concat dir "x.json");
        Alcotest.(check bool) "no temp file left" false
          (Sys.file_exists (dir ^ ".tmp"));
        Alcotest.(check bool) "still a directory" true (Sys.is_directory dir);
